@@ -29,7 +29,6 @@ from .floquet import (
 )
 from .kdv_spectral import (
     KdVChain,
-    PeriodicFunctionSeries,
     RootCluster,
     SpectralPolynomial,
     kdv_chain,

@@ -8,6 +8,7 @@ output).  Exit codes: 0 success/verified, 1 usage error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -50,14 +51,39 @@ def _parse_n(text: str) -> MultiplicityVector:
         raise UsageError(str(exc)) from None
 
 
+def _finite_float(text: str) -> float:
+    """A finite float; as an argparse type, failures become usage errors."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = math.nan
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return val
+
+
+def _finite_floats(parts: list[str], flag: str) -> list[float]:
+    try:
+        return [_finite_float(p) for p in parts]
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _rtol(text: str) -> float:
+    val = _finite_float(text)
+    try:
+        IntegratorSettings(rel_tol=val)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return val
+
+
 def _parse_complex(text: str, flag: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"{flag} expects re,im")
-    try:
-        return complex(float(parts[0]), float(parts[1]))
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
+    re, im = _finite_floats(parts, flag)
+    return complex(re, im)
 
 
 def _spec_from_args(args) -> PotentialSpec:
@@ -73,7 +99,7 @@ def _spec_from_args(args) -> PotentialSpec:
 
 
 def _settings_from_args(args) -> IntegratorSettings:
-    rtol = getattr(args, "rtol", None) or 1e-12
+    rtol = 1e-12 if args.rtol is None else args.rtol
     return IntegratorSettings(rel_tol=rtol, abs_tol=rtol * 1e-2)
 
 
@@ -87,12 +113,11 @@ def _emit(args, text: str) -> None:
 
 def _add_common(p: argparse.ArgumentParser, fmt_default: str = "json") -> None:
     p.add_argument("--n", required=True, help="multiplicities n0,n1,n2,n3")
-    p.add_argument("--tau", type=float, default=1.0,
+    p.add_argument("--tau", type=_finite_float, default=1.0,
                    help="imaginary part of tau (tau = i*b)")
     p.add_argument("--tau-full", default=None, help=argparse.SUPPRESS)
     p.add_argument("--z0", default=None, help="base point re,im (default tau/4)")
-    p.add_argument("--N", type=int, default=None, help="reporting grid size")
-    p.add_argument("--rtol", type=float, default=None, help="integrator rel tol")
+    p.add_argument("--rtol", type=_rtol, default=None, help="integrator rel tol")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
 
@@ -160,8 +185,8 @@ def _cmd_disc(args) -> int:
     return 0
 
 
-def _qpoly_dict(spec, n_grid) -> dict:
-    poly = spectral_polynomial(spec, n_grid)
+def _qpoly_dict(spec) -> dict:
+    poly = spectral_polynomial(spec)
     d = poly.to_json_dict()
     d["roots"] = [
         {"re": r.value.real, "im": r.value.imag, "mult": r.multiplicity,
@@ -173,13 +198,13 @@ def _qpoly_dict(spec, n_grid) -> dict:
 
 def _cmd_qpoly(args) -> int:
     spec = _spec_from_args(args)
-    _emit(args, ser.dumps(_qpoly_dict(spec, args.N)) + "\n")
+    _emit(args, ser.dumps(_qpoly_dict(spec)) + "\n")
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
-    report = classify_spectrum(spec, args.N)
+    report = classify_spectrum(spec)
     _emit(args, ser.dumps(report.to_json_dict()) + "\n")
     return 0
 
@@ -196,7 +221,9 @@ def _cmd_arcs(args) -> int:
     parts = args.window.split(",")
     if len(parts) != 4:
         raise UsageError("--window expects re0,re1,im0,im1")
-    window = tuple(float(p) for p in parts)
+    window = tuple(_finite_floats(parts, "--window"))
+    if not 2 <= args.res <= 2048:
+        raise UsageError("--res must be between 2 and 2048")
     arcs = stability_region(spec, window, args.res, _settings_from_args(args))
     if args.format == "json":
         out = {
@@ -241,10 +268,7 @@ def _scan_row(spec, with_gaps: bool) -> list:
 
 def _cmd_scan(args) -> int:
     n = _parse_n(args.n)
-    try:
-        taus = [float(t) for t in args.tau_list.split(",") if t]
-    except ValueError as exc:
-        raise UsageError(f"--tau-list: {exc}") from None
+    taus = _finite_floats([t for t in args.tau_list.split(",") if t], "--tau-list")
     if not taus:
         raise UsageError("--tau-list is empty")
     for b in taus:

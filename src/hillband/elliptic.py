@@ -28,8 +28,6 @@ from .errors import PoleProximity, SeriesDivergence
 __all__ = ["TorusParam", "LatticeInvariants", "wp", "wp_prime", "invariants"]
 
 _POLE_GUARD = 1e-8
-# documented support floor for Im(tau); enforced at the CLI boundary
-B_MIN = 0.3
 
 
 @dataclass(frozen=True)

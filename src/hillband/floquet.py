@@ -78,7 +78,6 @@ class IntegratorSettings:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
     max_steps: int = 10**6
-    order: int = 8
 
     def __post_init__(self) -> None:
         if self.rel_tol < 1e-13:
@@ -91,7 +90,6 @@ class IntegratorSettings:
             rel_tol=max(self.rel_tol / 2.0, 1e-13),
             abs_tol=self.abs_tol / 2.0,
             max_steps=self.max_steps,
-            order=self.order,
         )
 
 

@@ -55,7 +55,6 @@ from .potential import (
 )
 
 __all__ = [
-    "PeriodicFunctionSeries",
     "KdVChain",
     "SpectralPolynomial",
     "RootCluster",
@@ -66,7 +65,6 @@ __all__ = [
     "spectral_roots",
     "trig_spectral_polynomial",
     "poly_discriminant",
-    "default_grid_size",
 ]
 
 _TOP_MODE_TOL = 1e-10
@@ -81,46 +79,16 @@ _PI_LD = _LD("3.14159265358979323846264338327950288")
 
 
 @dataclass(frozen=True)
-class PeriodicFunctionSeries:
-    """Samples of a 1-periodic function on z0 + j/N and their DFT."""
-
-    grid_size: int
-    z0: complex
-    values: np.ndarray  # (N,) complex samples
-    coefficients: np.ndarray  # DFT / N, so coefficients[0] is the mean
-
-    @classmethod
-    def from_modes(cls, modes: np.ndarray, n: int, z0: complex) -> "PeriodicFunctionSeries":
-        """Expand a centered mode vector c_{-K..K} onto an N-point grid."""
-        k_half = len(modes) // 2
-        coeffs = np.zeros(n, dtype=complex)
-        center = np.asarray(modes, dtype=complex)
-        for j, c in enumerate(center):
-            mode = j - k_half
-            coeffs[mode % n] += c
-        return cls(grid_size=n, z0=z0, values=np.fft.ifft(coeffs) * n,
-                   coefficients=coeffs)
-
-    def top_mode_ratio(self) -> float:
-        c = np.abs(self.coefficients)
-        top = max(c[self.grid_size // 2 - 1], c[self.grid_size // 2])
-        return float(top / max(c.max(), 1e-300))
-
-
-@dataclass(frozen=True)
 class KdVChain:
     """Recursion basis u_0..u_{g+1}, solved constants, and diagnostics.
 
-    basis_modes holds the extended-precision centered coefficient vectors
-    (modes -k_cut..k_cut) that downstream assembly reuses; basis holds the
-    same functions expanded onto the reporting grid.
+    basis_modes holds u_0..u_{g+1} as extended-precision centered
+    coefficient vectors (modes -k_cut..k_cut).
     """
 
     spec: PotentialSpec
     genus_g: int
-    grid_size: int
     k_cut: int
-    basis: tuple[PeriodicFunctionSeries, ...]  # u_0 .. u_{g+1}
     constants: np.ndarray  # d_0 = 1, d_1 .. d_g
     termination_residual: float
     basis_modes: tuple[np.ndarray, ...]
@@ -169,10 +137,6 @@ class RootCluster:
     value: complex
     multiplicity: int
     is_real: bool
-
-
-def default_grid_size(n: MultiplicityVector) -> int:
-    return 256 if n.total() <= 8 else 512
 
 
 # -- extended-precision coefficient-space helpers ----------------------------
@@ -258,7 +222,7 @@ def _lstsq_extended(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return sol, np.abs(np.diag(rmat)).astype(_LD)
 
 
-def _mode_cutoff(spec: PotentialSpec, g: int, n_grid: int) -> int:
+def _mode_cutoff(spec: PotentialSpec, g: int) -> int:
     """Highest mode carrying chain content above the extended-precision floor.
 
     Chain element u_l has poles of order 2l, hence mode-k content of order
@@ -275,7 +239,7 @@ def _mode_cutoff(spec: PotentialSpec, g: int, n_grid: int) -> int:
     for _ in range(40):
         k = k_peak + (target + p * math.log(k / k_peak)) / (2.0 * math.pi * d)
     k = math.ceil(k)
-    return min(max(16, k), max(16, n_grid // 2 - 1), 220)
+    return min(max(16, k), 220)
 
 
 def _line_modes(spec: PotentialSpec, k_cut: int) -> np.ndarray:
@@ -332,13 +296,13 @@ def _line_modes(spec: PotentialSpec, k_cut: int) -> np.ndarray:
 
 # -- chain construction ------------------------------------------------------
 
-def kdv_chain(spec: PotentialSpec, g: int, N: int) -> KdVChain:
+def kdv_chain(spec: PotentialSpec, g: int) -> KdVChain:
     """Build the recursion basis and solve the termination constants."""
     if max(spec.n.as_tuple()) > _MAX_N0:
         raise UnsupportedMultiplicity(
             f"max n_k = {max(spec.n.as_tuple())} > {_MAX_N0}: chain magnitudes "
             "exceed what the extended-precision window can certify to 1e-9")
-    k_cut = _mode_cutoff(spec, g, N)
+    k_cut = _mode_cutoff(spec, g)
     q = _line_modes(spec, k_cut)
     qtail = float(np.max(np.abs(q[[0, -1]])) / np.max(np.abs(q)))
     if qtail > _TOP_MODE_TOL:
@@ -381,11 +345,7 @@ def kdv_chain(spec: PotentialSpec, g: int, N: int) -> KdVChain:
         resid = _norm(r[g + 1]) / scale
 
     constants = np.concatenate([[1.0 + 0j], d])
-    basis = tuple(
-        PeriodicFunctionSeries.from_modes(c.astype(complex), N, spec.z0) for c in u
-    )
-    return KdVChain(spec=spec, genus_g=g, grid_size=N, k_cut=k_cut,
-                    basis=basis, constants=constants,
+    return KdVChain(spec=spec, genus_g=g, k_cut=k_cut, constants=constants,
                     termination_residual=float(resid),
                     basis_modes=tuple(u), q_modes=q)
 
@@ -402,26 +362,24 @@ def _f_modes(chain: KdVChain) -> list[np.ndarray]:
     return fs
 
 
-def _assemble_f(chain: KdVChain, E: complex) -> np.ndarray:
-    fs = _f_modes(chain)
-    g = chain.genus_g
+def _assemble_f(fs: list[np.ndarray], E: complex) -> np.ndarray:
+    """F(E) = sum_l f_{g-l} E^l from f_0..f_g (extended precision)."""
+    g = len(fs) - 1
     e_ld = _CLD(complex(E))
-    out = np.zeros(2 * chain.k_cut + 1, dtype=_CLD)
+    out = np.zeros_like(fs[0])
     for ell in range(g + 1):
         out += fs[g - ell] * e_ld**ell
     return out
 
 
-def product_solution(chain: KdVChain, E: complex) -> PeriodicFunctionSeries:
-    """F(E, z) = sum_l f_{g-l}(z) E^l as a function of z."""
-    f = _assemble_f(chain, E)
-    return PeriodicFunctionSeries.from_modes(f.astype(complex),
-                                             chain.grid_size, chain.spec.z0)
+def product_solution(chain: KdVChain, E: complex) -> np.ndarray:
+    """F(E, z) = sum_l f_{g-l}(z) E^l as centered modes -k_cut..k_cut."""
+    return _assemble_f(_f_modes(chain), E).astype(complex)
 
 
 def product_ode_residual(chain: KdVChain, E: complex) -> float:
     """Relative residual of F''' = 4 (E - q) F' - 2 q' F at this E."""
-    f = _assemble_f(chain, E)
+    f = _assemble_f(_f_modes(chain), E)
     f1 = _deriv_modes(f)
     f3 = _deriv_modes(f, 3)
     lhs = f3
@@ -431,18 +389,16 @@ def product_ode_residual(chain: KdVChain, E: complex) -> float:
     return _norm(lhs - rhs) / denom
 
 
-def spectral_polynomial(spec: PotentialSpec, N: Optional[int] = None) -> SpectralPolynomial:
+def spectral_polynomial(spec: PotentialSpec) -> SpectralPolynomial:
     """Monic spectral polynomial Q(E) of degree 2g + 1.
 
     Raises ConstancyFailure when the Wronskian-square values vary along z
-    beyond 1e-6 relative (wrong genus, unresolved grid, or bad convention).
+    beyond 1e-6 relative (wrong genus, unresolved modes, or bad convention).
     """
     if spec.mode != ELLIPTIC:
         raise ValueError("spectral_polynomial requires an elliptic-mode spec")
     g = genus(spec.n)
-    if N is None:
-        N = default_grid_size(spec.n)
-    chain = kdv_chain(spec, g, N)
+    chain = kdv_chain(spec, g)
     fs = _f_modes(chain)
     k_cut = chain.k_cut
     q = chain.q_modes
@@ -457,9 +413,7 @@ def spectral_polynomial(spec: PotentialSpec, N: Optional[int] = None) -> Spectra
     diag = 0.0
     for j, E in enumerate(nodes):
         e_ld = _CLD(E)
-        F = np.zeros(2 * k_cut + 1, dtype=_CLD)
-        for ell in range(g + 1):
-            F += fs[g - ell] * e_ld**ell
+        F = _assemble_f(fs, E)
         F1 = _deriv_modes(F)
         F2 = _deriv_modes(F, 2)
         FF = _conv(F, F)

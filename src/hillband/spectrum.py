@@ -51,9 +51,6 @@ __all__ = [
     "verify_theorems",
 ]
 
-_REAL_TOL = 1e-6  # |Im E| <= tol * scale counts as real
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     spec: PotentialSpec
@@ -109,6 +106,7 @@ class GapReport:
     genus_g: int
     m_used: int
     gaps: tuple[GapInterval, ...]
+    edge_deltas: tuple[float, ...]  # measured Delta at E_0 > E_1 > ... > E_2g
 
     def counts(self) -> list[int]:
         return [len(gap.interior_hits) for gap in self.gaps]
@@ -305,7 +303,7 @@ def _resolve_ambiguous_pairs(spec, roots, settings):
     return [out[k] for k in order]
 
 
-def classify_spectrum(spec: PotentialSpec, N: Optional[int] = None,
+def classify_spectrum(spec: PotentialSpec,
                       settings: Optional[IntegratorSettings] = None) -> SpectrumReport:
     """Roots of Q, band intervals per the real-distinct case, complex pairs.
 
@@ -313,7 +311,7 @@ def classify_spectrum(spec: PotentialSpec, N: Optional[int] = None,
     adjudicated against the discriminant (see _resolve_ambiguous_pairs).
     """
     settings = settings or DEFAULT_SETTINGS
-    poly = spectral_polynomial(spec, N)
+    poly = spectral_polynomial(spec)
     roots = spectral_roots(poly)
     roots = _resolve_ambiguous_pairs(spec, roots, settings)
     all_real = all(r.is_real for r in roots)
@@ -389,7 +387,8 @@ def gap_eigenvalue_report(spec: PotentialSpec,
             edge_parities=(2 if e_lo > 0 else -2, 2 if e_hi > 0 else -2),
             edge_values=(e_lo, e_hi),
         ))
-    return GapReport(spec=spec, genus_g=g, m_used=cls.gap_m, gaps=tuple(gaps))
+    return GapReport(spec=spec, genus_g=g, m_used=cls.gap_m, gaps=tuple(gaps),
+                     edge_deltas=tuple(float(v) for v in edge_deltas))
 
 
 # -- stability region (marching squares on Im Delta) -------------------------
@@ -607,8 +606,7 @@ def verify_theorems(spec: PotentialSpec,
         out["details"]["gap_counts_expected"] = expected
 
         # Delta(E_0) = +2, alternating down to E_{2m-1}, then (-1)^m 2
-        vals = sorted((r.value.real for r in report.roots), reverse=True)
-        edge = discriminant_batch(spec, np.array(vals), settings).real
+        edge = np.array(gaps.edge_deltas)
         expected_signs = _expected_edge_signs(g, m)
         measured = [2 if v > 0 else -2 for v in edge]
         deviation = float(np.max(np.abs(edge - np.array(measured))))

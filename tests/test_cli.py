@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from hillband.cli import run_command
 
 
@@ -171,3 +173,22 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+class TestBoundaryValidation:
+    @pytest.mark.parametrize("argv", [
+        ["qpoly", "--n", "1,0,0,0", "--tau", "nan"],
+        ["qpoly", "--n", "1,0,0,0", "--tau", "inf"],
+        ["scan", "--n", "1,0,0,0", "--tau-list", "1,nan"],
+        ["disc", "--n", "1,0,0,0", "--E", "2,0", "--rtol", "1e-15"],
+        ["disc", "--n", "1,0,0,0", "--E", "2,0", "--rtol", "0"],
+        ["disc", "--n", "1,0,0,0", "--E", "nan,0"],
+        ["arcs", "--n", "1,0,0,0", "--window=a,1,2,3"],
+        ["arcs", "--n", "1,0,0,0", "--window=-1,1,nan,1"],
+        ["arcs", "--n", "1,0,0,0", "--window=-1,1,-1,1", "--res", "0"],
+        ["arcs", "--n", "1,0,0,0", "--window=-1,1,-1,1", "--res", "1"],
+    ])
+    def test_bad_value_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "usage error" in err and "Traceback" not in err

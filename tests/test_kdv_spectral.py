@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hillband import kdv_spectral
 from hillband.elliptic import invariants, wp
 from hillband.errors import (
     NotNormalized,
@@ -14,7 +15,6 @@ from hillband.errors import (
 )
 from hillband.kdv_spectral import (
     SpectralPolynomial,
-    default_grid_size,
     kdv_chain,
     poly_discriminant,
     product_ode_residual,
@@ -34,6 +34,16 @@ def spec_of(tup, tau):
     return PotentialSpec.elliptic(mv(*tup), tau)
 
 
+X256 = np.arange(256) / 256
+
+
+def on_points(modes, x=X256):
+    """Direct Fourier sum of a centered mode vector c_{-K..K} at the points x."""
+    modes = np.asarray(modes).astype(complex)
+    k = len(modes) // 2
+    return np.exp(2j * np.pi * np.outer(x, np.arange(-k, k + 1))) @ modes
+
+
 def rel_coeff_diff(a, b):
     return float(np.max(np.abs(a.coefficients - b.coefficients))
                  / np.max(np.abs(b.coefficients)))
@@ -41,61 +51,56 @@ def rel_coeff_diff(a, b):
 
 class TestChain:
     def test_lame_zero_mode_is_two_eta1(self, lame_spec):
-        chain = kdv_chain(lame_spec, 1, 256)
+        chain = kdv_chain(lame_spec, 1)
         assert abs(chain.constants[1] - math.pi) < 1e-12
         assert chain.termination_residual < 1e-9
 
     def test_lame_f1_is_half_q(self, lame_spec):
         # u1 + d1 = f1 = q/2 = -wp pointwise
-        chain = kdv_chain(lame_spec, 1, 256)
-        x = np.arange(256) / 256
-        f1 = chain.basis[1].values + chain.constants[1]
-        target = -wp(lame_spec.z0 + x, lame_spec.torus)
+        chain = kdv_chain(lame_spec, 1)
+        f1 = on_points(chain.basis_modes[1]) + chain.constants[1]
+        target = -wp(lame_spec.z0 + X256, lame_spec.torus)
         assert np.max(np.abs(f1 - target)) < 1e-9
 
     def test_termination_residual_2210(self, spec_2210):
-        chain = kdv_chain(spec_2210, 3, 256)
+        chain = kdv_chain(spec_2210, 3)
         assert chain.termination_residual < 1e-9
-        # residual stable when the reporting grid doubles
-        chain2 = kdv_chain(spec_2210, 3, 512)
-        assert chain2.termination_residual < 1e-9
 
     def test_u0_is_one(self, spec_2210):
-        chain = kdv_chain(spec_2210, 3, 256)
-        assert np.allclose(chain.basis[0].values, 1.0)
+        chain = kdv_chain(spec_2210, 3)
+        assert np.allclose(on_points(chain.basis_modes[0]), 1.0)
 
     def test_rank_deficiency_on_wrong_genus(self, lame_spec):
         with pytest.raises(RankDeficiency):
-            kdv_chain(lame_spec, 2, 256)
+            kdv_chain(lame_spec, 2)
 
     def test_unsupported_multiplicity(self):
         with pytest.raises(UnsupportedMultiplicity):
-            kdv_chain(spec_of((9, 0, 0, 0), 1j), 9, 512)
+            kdv_chain(spec_of((9, 0, 0, 0), 1j), 9)
 
     def test_resolution_error_near_pole(self):
         spec = PotentialSpec.elliptic(mv(1, 0, 0, 0), 1j, z0=0.002j)
         with pytest.raises(ResolutionError):
-            kdv_chain(spec, 1, 256)
+            kdv_chain(spec, 1)
 
 
 class TestProductSolution:
     def test_lame_closed_form(self, lame_spec):
-        chain = kdv_chain(lame_spec, 1, 256)
+        chain = kdv_chain(lame_spec, 1)
         e_val = 5.0
-        f = product_solution(chain, e_val)
-        x = np.arange(256) / 256
-        target = e_val - wp(lame_spec.z0 + x, lame_spec.torus)
-        assert np.max(np.abs(f.values - target)) < 1e-9
+        f = on_points(product_solution(chain, e_val))
+        target = e_val - wp(lame_spec.z0 + X256, lame_spec.torus)
+        assert np.max(np.abs(f - target)) < 1e-9
 
     def test_ode_residual(self, spec_2210):
-        chain = kdv_chain(spec_2210, 3, 256)
+        chain = kdv_chain(spec_2210, 3)
         for e_val in (0.7, -12.0 + 3.0j):
             assert product_ode_residual(chain, e_val) < 1e-8
 
     def test_leading_coefficient_is_one(self, spec_2210):
         # f_0 = 1, so F's E^g coefficient is 1 at every z
-        chain = kdv_chain(spec_2210, 3, 256)
-        assert np.allclose(chain.basis[0].values, 1.0)
+        chain = kdv_chain(spec_2210, 3)
+        assert np.allclose(on_points(chain.basis_modes[0]), 1.0)
         assert chain.constants[0] == 1.0
 
 
@@ -119,14 +124,15 @@ class TestSpectralPolynomial:
         q = spectral_polynomial(spec_of((1, 1, 1, 1), 1.5j))
         assert q.z_constancy_diag <= 1e-9
 
-    def test_grid_doubling_stability(self, spec_2210):
-        qa = spectral_polynomial(spec_2210, 256)
-        qb = spectral_polynomial(spec_2210, 512)
-        assert rel_coeff_diff(qa, qb) <= 1e-9
-
-    def test_default_grid_size(self):
-        assert default_grid_size(mv(2, 2, 1, 0)) == 256
-        assert default_grid_size(mv(5, 4, 0, 0)) == 512
+    def test_cutoff_doubling_stability(self, monkeypatch):
+        # doubling the mode cutoff moves the truncation; Q must not notice
+        specs = [spec_of((2, 2, 1, 0), 1j), spec_of((3, 3, 3, 2), 0.6j)]
+        polys = [spectral_polynomial(spec) for spec in specs]
+        base = kdv_spectral._mode_cutoff
+        monkeypatch.setattr(kdv_spectral, "_mode_cutoff",
+                            lambda spec, g: min(2 * base(spec, g), 220))
+        for spec, qa in zip(specs, polys):
+            assert rel_coeff_diff(qa, spectral_polynomial(spec)) <= 1e-9
 
 
 class TestRoots:
