@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import _serialize as ser
 from .errors import HillbandError
@@ -111,13 +109,15 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser, fmt_default: str = "json") -> None:
+def _add_common(p: argparse.ArgumentParser, fmt_default: str = "json",
+                integrator: bool = True) -> None:
     p.add_argument("--n", required=True, help="multiplicities n0,n1,n2,n3")
     p.add_argument("--tau", type=_finite_float, default=1.0,
                    help="imaginary part of tau (tau = i*b)")
     p.add_argument("--tau-full", default=None, help=argparse.SUPPRESS)
     p.add_argument("--z0", default=None, help="base point re,im (default tau/4)")
-    p.add_argument("--rtol", type=_rtol, default=None, help="integrator rel tol")
+    if integrator:
+        p.add_argument("--rtol", type=_rtol, default=None, help="integrator rel tol")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
 
@@ -138,7 +138,7 @@ def build_parser() -> _Parser:
     p.add_argument("--E", required=True, help="energy re,im")
 
     p = sub.add_parser("qpoly", help="spectral polynomial Q(E)")
-    _add_common(p)
+    _add_common(p, integrator=False)  # Q never runs the integrator
 
     p = sub.add_parser("spectrum", help="band/complex-pair spectrum report")
     _add_common(p)
@@ -158,7 +158,7 @@ def build_parser() -> _Parser:
     _add_common(p, fmt_default="csv")
     p.add_argument("--tau-list", required=True, help="comma-separated Im tau")
     p.add_argument("--gaps", action="store_true",
-                   help="also count interior gap eigenvalues (slow)")
+                   help="also count interior gap eigenvalues")
 
     return parser
 
@@ -204,7 +204,7 @@ def _cmd_qpoly(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spec = _spec_from_args(args)
-    report = classify_spectrum(spec)
+    report = classify_spectrum(spec, _settings_from_args(args))
     _emit(args, ser.dumps(report.to_json_dict()) + "\n")
     return 0
 
@@ -248,8 +248,8 @@ def _cmd_verify(args) -> int:
     return 0 if verdict["all_pass"] else 3
 
 
-def _scan_row(spec, with_gaps: bool) -> list:
-    report = classify_spectrum(spec)
+def _scan_row(spec, with_gaps: bool, settings: IntegratorSettings) -> list:
+    report = classify_spectrum(spec, settings)
     disc = poly_discriminant(report.polynomial)
     flat = []
     for r in report.roots:
@@ -259,7 +259,7 @@ def _scan_row(spec, with_gaps: bool) -> list:
     if with_gaps:
         try:
             gap_counts = ";".join(
-                str(c) for c in gap_eigenvalue_report(spec).counts())
+                str(c) for c in gap_eigenvalue_report(spec, settings, report).counts())
         except HillbandError:
             gap_counts = "n/a"
     return [spec.torus.tau.imag, report.all_real_distinct,
@@ -275,14 +275,9 @@ def _cmd_scan(args) -> int:
         if b < TAU_IM_MIN:
             raise UsageError(f"--tau-list entries must be >= {TAU_IM_MIN}")
     z0 = _parse_complex(args.z0, "--z0") if args.z0 else None
-    specs = [PotentialSpec.elliptic(n, complex(0.0, b), z0) for b in taus]
-
-    threads = max(1, int(os.environ.get("HILLBAND_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda s: _scan_row(s, args.gaps), specs))
-    else:
-        rows = [_scan_row(s, args.gaps) for s in specs]
+    settings = _settings_from_args(args)
+    rows = [_scan_row(PotentialSpec.elliptic(n, complex(0.0, b), z0), args.gaps,
+                      settings) for b in taus]
 
     header = ["tau_im", "all_real_distinct", "num_complex_pairs",
               "disc_re", "disc_im", "gap_counts"]

@@ -1,12 +1,17 @@
-"""Monodromy matrix and Hill discriminant of y'' + q(x) y = E y over [0, 1].
+"""Monodromy matrix, Hill discriminant and real (anti)periodic eigenvalues.
 
-The fundamental pair (c, s) with c(0) = s'(0) = 1, c'(0) = s(0) = 0 is
-transported across one period by an adaptive embedded Runge-Kutta 7(8)
-(Fehlberg's 13-stage pair).  The integrator is batched: a whole vector of
-E values advances in lockstep with a shared adaptive step, which is what
-makes dense eigenvalue scans and stability-region grids affordable.  A
-fixed-step variant with precomputed stage potentials serves large grids
-where per-point adaptivity would be wasted.
+The fundamental pair (c, s) of y'' + q(x) y = E y with c(0) = s'(0) = 1,
+c'(0) = s(0) = 0 is transported across one period [0, 1] by an adaptive
+embedded Runge-Kutta 7(8) (Fehlberg's 13-stage pair).  The integrator is
+batched: a whole vector of E values advances in lockstep with a shared
+adaptive step.  A fixed-step variant with precomputed stage potentials serves
+large grids (stability regions) where per-point adaptivity would be wasted.
+
+Real solutions of Delta = +-2 are not searched for on Delta: they are the
+real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
+the closed-form Fourier modes of the potential (Deconinck & Kutz, J. Comput.
+Phys. 219, 2006; Curtis & Deconinck, Math. Comp. 79, 2010), and Delta only
+certifies them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotAnEigenvalue, StepLimitExceeded, TolFailure
+from .errors import NotAnEigenvalue, ResolutionError, StepLimitExceeded, TolFailure
+from .kdv_spectral import _line_modes, _mode_cutoff
 from .potential import PotentialSpec, evaluate_potential
 
 __all__ = [
@@ -71,6 +77,8 @@ _B8 = np.array([
 _ERR_WEIGHT = 41.0 / 840.0  # error = h * w * (k0 + k10 - k11 - k12)
 
 _NSTAGES = 13
+
+_CLUSTER_TOL = 1e-6  # relative spread of Hill eigenvalues forming one hit
 
 
 @dataclass(frozen=True)
@@ -302,22 +310,64 @@ def multiplicity_estimate(spec: PotentialSpec, E: complex,
     return 4
 
 
-def _polish_tangencies(spec, E0: np.ndarray, target: float,
-                       settings: IntegratorSettings) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on Delta'(E) = 0 for tangential hits (Delta touching +-2)."""
+def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
+                   hi: float) -> list[tuple[float, int, int]]:
+    """Real (anti)periodic eigenvalues in [lo, hi] from the truncated Hill matrix.
+
+    H_mu = Toeplitz(q_hat) - diag((2 pi k + mu)^2), k = -K..K: eigenvalues of
+    H_0 solve Delta = +2 and those of H_pi solve Delta = -2.  Eigenvalues with
+    |Im E| <= _CLUSTER_TOL * (1 + |E|) count as real (a double root may split
+    off the axis by that much), and those of one parity that close to each
+    other form one cluster.  Returns
+    (centre, parity, size) triples sorted by centre.
+    """
+    q = _line_modes(spec, 2 * K).astype(complex)
+    k = np.arange(-K, K + 1)
+    toeplitz = q[2 * K + k[:, None] - k[None, :]]
+    clusters = []
+    for mu, parity in ((0.0, 2), (math.pi, -2)):
+        ev = np.linalg.eigvals(toeplitz - np.diag((2.0 * math.pi * k + mu) ** 2))
+        tol = _CLUSTER_TOL * (1.0 + np.abs(ev.real))
+        real = np.sort(ev.real[(np.abs(ev.imag) <= tol) & (ev.real >= lo)
+                               & (ev.real <= hi)])
+        breaks = np.nonzero(np.diff(real) > _CLUSTER_TOL * (1.0 + np.abs(real[1:])))[0]
+        for part in np.split(real, breaks + 1):
+            if part.size:
+                clusters.append((float(part.mean()), parity, part.size))
+    return sorted(clusters)
+
+
+def _certify(spec: PotentialSpec, E0: np.ndarray, target: np.ndarray,
+             double: np.ndarray, settings: IntegratorSettings
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Polish Hill eigenvalues on Delta; return them with |Delta(E) - target|.
+
+    Every pass is one batched Delta, Delta' call.  Simple hits take a single
+    Newton step on Delta = target.  Double hits (Delta touching +-2) run
+    Newton on Delta' = 0, with Delta'' from a central difference of Delta'.
+    One closing Delta call measures the residuals.
+    """
     E = E0.astype(float).copy()
     h = 1e-5 * (1.0 + np.abs(E))
+    live = np.ones(E.size, dtype=bool)
     for _ in range(10):
-        pts = np.concatenate([E, E + h, E - h])
-        _, dall = discriminant_batch(spec, pts, settings, derivative=True)
-        n = E.size
-        d1 = dall[:n].real
-        d2 = (dall[n:2 * n].real - dall[2 * n:].real) / (2.0 * h)
-        step = np.where(np.abs(d2) > 1e-300, d1 / d2, 0.0)
-        step = np.clip(step, -10.0 * h, 10.0 * h)
-        E = E - step
-        if np.all(np.abs(step) <= 1e-13 * (1.0 + np.abs(E))):
+        idx = np.nonzero(live)[0]
+        if not idx.size:
             break
+        tan = idx[double[idx]]
+        pts = np.concatenate([E[idx], E[tan] + h[tan], E[tan] - h[tan]])
+        dval, dder = discriminant_batch(spec, pts, settings, derivative=True)
+        n, m = idx.size, tan.size
+        d1 = dder[:n].real
+        d2 = np.zeros(n)
+        d2[double[idx]] = (dder[n:n + m].real - dder[n + m:].real) / (2.0 * h[tan])
+        f = np.where(double[idx], d1, dval[:n].real - target[idx])
+        fp = np.where(double[idx], d2, d1)
+        step = np.divide(f, fp, out=np.zeros(n), where=np.abs(fp) > 1e-300)
+        step = np.where(double[idx], np.clip(step, -10.0 * h[idx], 10.0 * h[idx]),
+                        step)
+        E[idx] -= step
+        live[idx] = double[idx] & (np.abs(step) > 1e-13 * (1.0 + np.abs(E[idx])))
     delta = discriminant_batch(spec, E, settings)
     return E, np.abs(delta.real - target)
 
@@ -327,11 +377,16 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
                                      ) -> list[EigenvalueHit]:
     """All real solutions of Delta = +2 and Delta = -2 in [a, b].
 
-    Dense sampling (64 points per unit, refined where |Delta| is within
-    [1.8, 2.2]) catches transversal crossings by sign change and tangential
-    touch points as local extrema; both are polished and tagged with parity
-    and an order estimate.  Requires Delta real on [a, b] (tau on the
-    imaginary axis, trig-limit, or real constant mode).
+    Candidates are the eigenvalues of the Floquet-Fourier-Hill matrices H_0
+    and H_pi (see _hill_clusters), built from the closed-form Fourier modes of
+    the sampled potential.  The truncation K comes from the potential's mode
+    decay, raised so that (2 pi K)^2 >= 16 max(|a|, |b|); the candidates at K
+    and at 2K must agree in a slightly widened window, or ResolutionError is
+    raised.  The cluster size is the order estimate (2 for a tangential
+    touch, 1 for a crossing), and Delta certifies every hit (see _certify):
+    a residual |Delta - parity| above 1e-6 raises TolFailure.  Requires Delta
+    real on [a, b] (tau on the imaginary axis, trig-limit, or real constant
+    mode).
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -339,92 +394,30 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
     if spec.mode == "elliptic" and abs(spec.torus.tau.real) > 1e-12:
         raise ValueError("real-line eigenvalue search requires tau in i*R")
 
-    npts = max(65, int(math.ceil(64.0 * (b - a))) + 1)
-    grid = np.linspace(a, b, npts)
-    delta = discriminant_batch(spec, grid, settings).real
+    reach = max(abs(a), abs(b))
+    K = max(_mode_cutoff(spec, 0), math.ceil(2.0 * math.sqrt(reach) / math.pi))
+    pad = 1e-3 * (1.0 + reach)  # keeps edges just outside [a, b] comparable
+    coarse = _hill_clusters(spec, K, a - pad, b + pad)
+    fine = _hill_clusters(spec, 2 * K, a - pad, b + pad)
+    if len(coarse) != len(fine) or any(
+            (c[1:] != f[1:]) or abs(c[0] - f[0]) > _CLUSTER_TOL * (1.0 + abs(c[0]))
+            for c, f in zip(coarse, fine)):
+        raise ResolutionError(
+            f"Hill truncations K = {K} and {2 * K} disagree on [{a}, {b}] "
+            f"({len(coarse)} vs {len(fine)} eigenvalue clusters)")
 
-    # refine where |Delta| sits in the tangency band
-    for _ in range(2):
-        near = np.abs(np.abs(delta) - 2.0) <= 0.2
-        flag = near[:-1] | near[1:]
-        if not flag.any():
-            break
-        newpts = []
-        for i in np.nonzero(flag)[0]:
-            newpts.extend(np.linspace(grid[i], grid[i + 1], 6)[1:-1])
-        newpts = np.array(newpts)
-        newdelta = discriminant_batch(spec, newpts, settings).real
-        grid = np.concatenate([grid, newpts])
-        delta = np.concatenate([delta, newdelta])
-        order = np.argsort(grid)
-        grid, delta = grid[order], delta[order]
-
-    raw_hits: list[tuple[float, float, float]] = []  # (E, target, residual)
-    for target in (2.0, -2.0):
-        f = delta - target
-        # roots landing exactly on sample points defeat the sign-change test
-        on_grid = np.nonzero(np.abs(f) <= 1e-12)[0]
-        for i in on_grid:
-            raw_hits.append((float(grid[i]), target, float(abs(f[i]))))
-        cross = np.nonzero(f[:-1] * f[1:] < 0.0)[0]
-        if cross.size:
-            # Newton from the secant seed, clamped to the sampling bracket
-            lo = grid[cross].copy()
-            hi = grid[cross + 1].copy()
-            flo = f[cross].copy()
-            E = lo - flo * (hi - lo) / (f[cross + 1] - flo)
-            res = np.full(E.shape, np.inf)
-            for _ in range(10):
-                dval, dder = discriminant_batch(spec, E, settings, derivative=True)
-                fe = dval.real - target
-                res = np.abs(fe)
-                if np.all(res <= 1e-10):
-                    break
-                # shrink the bracket around the sign change
-                same_side = fe * flo > 0.0
-                lo = np.where(same_side, E, lo)
-                flo = np.where(same_side, fe, flo)
-                hi = np.where(same_side, hi, E)
-                step = np.where(np.abs(dder.real) > 1e-300, fe / dder.real, 0.0)
-                E_new = E - step
-                escaped = (E_new <= lo) | (E_new >= hi)
-                E = np.where(escaped, 0.5 * (lo + hi), E_new)
-            res = np.abs(discriminant_batch(spec, E, settings).real - target)
-            for e_val, r_val in zip(E, res):
-                if r_val > 1e-6:
-                    raise TolFailure(
-                        f"crossing polish stalled at E={e_val} (|Delta-target|={r_val:.2e})")
-                raw_hits.append((float(e_val), target, float(r_val)))
-
-        # tangential candidates: interior extrema of Delta near the target
-        sgn = 1.0 if target > 0 else -1.0
-        g = sgn * delta
-        idx = np.nonzero((g[1:-1] >= g[:-2]) & (g[1:-1] >= g[2:])
-                         & (np.abs(delta[1:-1] - target) <= 0.4))[0] + 1
-        if idx.size:
-            E_t, res_t = _polish_tangencies(spec, grid[idx], target, settings)
-            for e_val, r_val in zip(E_t, res_t):
-                if a < e_val < b and r_val <= 1e-7:
-                    raw_hits.append((float(e_val), target, float(r_val)))
-
-    # merge duplicates (tangency + crossing pairs, refined-grid repeats)
-    raw_hits.sort(key=lambda t: t[0])
-    merged: list[tuple[float, float, float]] = []
-    for e_val, target, r_val in raw_hits:
-        if merged and abs(e_val - merged[-1][0]) <= 1e-8 * (1.0 + abs(e_val)) \
-                and merged[-1][1] == target:
-            if r_val < merged[-1][2]:
-                merged[-1] = (e_val, target, r_val)
-            continue
-        merged.append((e_val, target, r_val))
-
-    hits = []
-    for e_val, target, r_val in merged:
-        try:
-            order_d = multiplicity_estimate(spec, e_val, settings)
-        except NotAnEigenvalue:
-            continue
-        hits.append(EigenvalueHit(E=e_val, parity=int(target), order_d=order_d,
-                                  residual=r_val))
-    hits.sort(key=lambda hit: hit.E)
-    return hits
+    found = [c for c in coarse if a <= c[0] <= b]
+    if not found:
+        return []
+    E0 = np.array([c[0] for c in found])
+    target = np.array([float(c[1]) for c in found])
+    order = np.array([c[2] for c in found])
+    E, residual = _certify(spec, E0, target, order >= 2, settings)
+    worst = int(np.argmax(residual))
+    if residual[worst] > 1e-6:
+        raise TolFailure(f"Hill eigenvalue E={E[worst]} fails the Delta check "
+                         f"(|Delta-target|={residual[worst]:.2e})")
+    hits = [EigenvalueHit(E=float(e), parity=int(t), order_d=int(o),
+                          residual=float(r))
+            for e, t, o, r in zip(E, target, order, residual)]
+    return sorted(hits, key=lambda hit: hit.E)

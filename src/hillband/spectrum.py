@@ -1,10 +1,11 @@
 """Spectral picture assembly: bands, gap eigenvalue counts, stability arcs.
 
 Ties the other modules together: roots of the spectral polynomial give the
-band edges (when real and distinct), the discriminant locates interior
-(anti)periodic eigenvalues in each bounded band interval (E_{2j-1}, E_{2j-2}),
-and a marching-squares pass over Im Delta = 0 recovers the conditional
-stability set as polylines in the complex E plane.
+band edges (when real and distinct), Hill's method finds the interior
+(anti)periodic eigenvalues of each bounded band interval (E_{2j-1}, E_{2j-2})
+and the discriminant certifies them, and a marching-squares pass over
+Im Delta = 0 recovers the conditional stability set as polylines in the
+complex E plane.
 """
 
 from __future__ import annotations
@@ -352,13 +353,14 @@ def gap_eigenvalue_report(spec: PotentialSpec,
                           report: Optional[SpectrumReport] = None) -> GapReport:
     """Interior (anti)periodic eigenvalues of every bounded band interval.
 
-    Searches each (E_{2j-1}, E_{2j-2}) strictly inside a margin of
-    delta = 1e-6 * scale so the band edges themselves (which satisfy
-    Delta = +-2) are not double counted.
+    One search over (E_{2g-1} + delta, E_0 - delta), delta = 1e-6 * scale,
+    finds every solution of Delta = +-2 there; a hit belongs to the band
+    (E_{2j-1}, E_{2j-2}) when it lies more than 2 delta inside it, so the
+    inner band edges (which satisfy Delta = +-2 themselves) drop out.
     """
     settings = settings or DEFAULT_SETTINGS
     if report is None:
-        report = classify_spectrum(spec)
+        report = classify_spectrum(spec, settings)
     if not report.all_real_distinct:
         raise BandStructureMissing(
             "spectrum is not of real band form; no gap report")
@@ -374,12 +376,12 @@ def gap_eigenvalue_report(spec: PotentialSpec,
 
     edge_deltas = discriminant_batch(spec, np.array(vals), settings).real
 
+    found = periodic_eigenvalues_on_interval(
+        spec, vals[2 * g - 1] + delta, vals[0] - delta, settings)
     gaps = []
     for j in range(1, g + 1):
         lo, hi = vals[2 * j - 1], vals[2 * j - 2]
-        hits = periodic_eigenvalues_on_interval(
-            spec, lo + delta, hi - delta, settings)
-        hits = tuple(h for h in hits
+        hits = tuple(h for h in found
                      if lo + 2 * delta < h.E < hi - 2 * delta)
         e_lo, e_hi = float(edge_deltas[2 * j - 1]), float(edge_deltas[2 * j - 2])
         gaps.append(GapInterval(
@@ -546,7 +548,7 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
                                         derivative=True)
         denom = dder.real
         step = np.where(np.abs(denom) > 1e-9, dval.imag / denom, 0.0)
-        cell = (ys[1] - ys[0])
+        cell = abs(ys[1] - ys[0])
         step = np.clip(step, -2 * cell, 2 * cell)
         ee = ee - 1j * step
     dval = discriminant_batch(spec, ee, polish_settings)
@@ -577,7 +579,7 @@ def verify_theorems(spec: PotentialSpec,
     """
     settings = settings or DEFAULT_SETTINGS
     cls = classify(spec.n)
-    report = classify_spectrum(spec)
+    report = classify_spectrum(spec, settings)
 
     out: dict = {
         "n": list(spec.n.as_tuple()),

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from hillband.cli import run_command
@@ -78,6 +79,30 @@ class TestQpolySpectrum:
         # general tau: coefficients genuinely complex
         assert any(abs(c[1]) > 1.0 for c in d["coeffs"])
 
+    @pytest.mark.parametrize("argv,called", [
+        (["spectrum", "--n", "1,0,0,0"], ["classify_spectrum"]),
+        (["scan", "--n", "2,2,1,0", "--tau-list", "1.0", "--gaps"],
+         ["classify_spectrum", "gap_eigenvalue_report"]),
+    ])
+    def test_rtol_reaches_library(self, capsys, monkeypatch, argv, called):
+        import hillband.cli as cli_mod
+
+        seen = []
+        for name in called:
+            def spy(spec, settings=None, *rest, _real=getattr(cli_mod, name)):
+                seen.append(settings.rel_tol)
+                return _real(spec, settings, *rest)
+
+            monkeypatch.setattr(cli_mod, name, spy)
+        code, _, _ = run(capsys, *argv, "--rtol", "1e-8")
+        assert code == 0
+        assert seen == [1e-8] * len(called)
+
+    def test_qpoly_rejects_rtol(self, capsys):
+        # Q comes from the KdV chain; no integrator tolerance applies
+        code, _, err = run(capsys, "qpoly", "--n", "1,0,0,0", "--rtol", "1e-8")
+        assert code == 1 and "usage error" in err
+
 
 class TestDeterminism:
     def test_byte_identical_runs(self, capsys):
@@ -107,12 +132,6 @@ class TestScan:
             assert vals["all_real_distinct"] == "false"
             assert int(vals["num_complex_pairs"]) >= 1
 
-    def test_threads_env_same_output(self, capsys, monkeypatch):
-        _, a, _ = run(capsys, "scan", "--n", "2,2,1,0", "--tau-list", "0.8,1.2")
-        monkeypatch.setenv("HILLBAND_THREADS", "2")
-        _, b, _ = run(capsys, "scan", "--n", "2,2,1,0", "--tau-list", "0.8,1.2")
-        assert a == b
-
 
 class TestArcs:
     def test_csv_header(self, capsys):
@@ -122,6 +141,21 @@ class TestArcs:
         lines = out.strip().split("\n")
         assert lines[0] == "arc_id,re_E,im_E,re_Delta"
         assert len(lines) > 10
+
+    def test_reversed_imaginary_window(self, capsys):
+        def points(window):
+            code, out, _ = run(capsys, "arcs", "--n", "1,0,0,0",
+                               f"--window={window}", "--res", "32")
+            assert code == 0
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            return np.array([[float(r[1]), float(r[2])] for r in rows])
+
+        fwd = points("-8,8,-0.5,0.5")
+        rev = points("-8,8,0.5,-0.5")
+        assert len(fwd) > 10 and len(rev) == len(fwd)
+        dist = np.abs(fwd[:, None, :] - rev[None, :, :]).max(axis=2)
+        assert dist.min(axis=1).max() <= 1e-9
+        assert dist.min(axis=0).max() <= 1e-9
 
 
 class TestVerifyCommand:

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hillband.errors import NotAnEigenvalue, StepLimitExceeded
+from hillband import floquet
+from hillband.errors import HillbandError, NotAnEigenvalue, StepLimitExceeded
 from hillband.floquet import (
     IntegratorSettings,
     discriminant,
@@ -146,3 +147,43 @@ class TestEigenvalueSearch:
                                              settings.halved())
         for ha, hb in zip(a, b):
             assert abs(ha.E - hb.E) <= 10 * settings.rel_tol * (1.0 + abs(ha.E)) + 1e-9
+
+    def test_constant_closed_form_completeness(self, const_spec):
+        # q = 0: Delta(E) = 2 cos sqrt(-E) meets +-2 exactly at E = -(pi j)^2,
+        # with parity (-1)^j 2; every such point but E = 0 is a double root
+        hits = periodic_eigenvalues_on_interval(const_spec, -200.0, 1.0)
+        js = range(4, -1, -1)
+        assert len(hits) == len(js)
+        for hit, j in zip(hits, js):
+            exact = -(math.pi * j) ** 2
+            assert abs(hit.E - exact) <= 1e-9 * (1.0 + abs(exact))
+            assert hit.parity == (-1) ** j * 2
+            assert hit.order_d == (1 if j == 0 else 2)
+
+    def test_lame_against_independent_integrator(self, lame_spec):
+        e1 = invariants(lame_spec.torus).e1.real
+        hits = periodic_eigenvalues_on_interval(lame_spec, -60.0, e1)
+        for hit in hits:
+            assert abs(monodromy_scipy(lame_spec, hit.E) - hit.parity) <= 1e-6
+        # brute-force count on a dense grid (reaching just past the crossing
+        # at e1): crossings are sign changes of Delta -+ 2, tangential hits
+        # are local extrema of +-Delta touching +-2
+        grid = np.linspace(-60.0, e1 + 0.05, 6001)
+        delta = discriminant_batch(lame_spec, grid).real
+        for parity in (2, -2):
+            f = delta - parity
+            crossings = int(np.sum(f[:-1] * f[1:] < 0.0))
+            g = np.sign(parity) * delta
+            touches = int(np.sum((g[1:-1] >= g[:-2]) & (g[1:-1] >= g[2:])
+                                 & (np.abs(f[1:-1]) <= 1e-2)))
+            mine = [h for h in hits if h.parity == parity]
+            assert sum(h.order_d == 1 for h in mine) == crossings
+            assert sum(h.order_d == 2 for h in mine) == touches
+            assert len(mine) == crossings + touches
+        assert len(hits) == 4
+
+    def test_unconverged_truncation_raises(self, spec_2210, monkeypatch):
+        # a cutoff far below the potential's mode decay: K = 2 and 4 disagree
+        monkeypatch.setattr(floquet, "_mode_cutoff", lambda spec, g: 1)
+        with pytest.raises(HillbandError):
+            periodic_eigenvalues_on_interval(spec_2210, -5.0, 5.0)

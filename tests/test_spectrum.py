@@ -84,6 +84,24 @@ class TestGapReport:
         assert len(d["gaps"]) == 3
         assert d["gaps"][2]["hits"][0]["parity"] == -2
 
+    def test_delta_points_bounded(self, spec_2210, monkeypatch):
+        # Delta only certifies the Hill eigenvalues; a return to scanning
+        # Delta on a grid costs tens of thousands of points
+        from hillband import floquet, spectrum
+
+        points = []
+        original = floquet.discriminant_batch
+
+        def counting(spec, E, *args, **kwargs):
+            points.append(np.size(E))
+            return original(spec, E, *args, **kwargs)
+
+        monkeypatch.setattr(floquet, "discriminant_batch", counting)
+        monkeypatch.setattr(spectrum, "discriminant_batch", counting)
+        rep = gap_eigenvalue_report(spec_2210)
+        assert rep.counts() == [0, 0, 1]
+        assert 0 < sum(points) <= 500
+
 
 class TestStabilityRegion:
     def test_lame_small_window(self, lame_spec):
