@@ -109,7 +109,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser, fmt_default: str = "json",
+def _add_common(p: argparse.ArgumentParser, formats: tuple = ("json",),
                 integrator: bool = True) -> None:
     p.add_argument("--n", required=True, help="multiplicities n0,n1,n2,n3")
     p.add_argument("--tau", type=_finite_float, default=1.0,
@@ -119,7 +119,7 @@ def _add_common(p: argparse.ArgumentParser, fmt_default: str = "json",
     if integrator:
         p.add_argument("--rtol", type=_rtol, default=None, help="integrator rel tol")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+    p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def build_parser() -> _Parser:
@@ -147,7 +147,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("arcs", help="stability arcs in the complex E plane")
-    _add_common(p, fmt_default="csv")
+    _add_common(p, formats=("csv", "json"))
     p.add_argument("--window", required=True, help="re0,re1,im0,im1")
     p.add_argument("--res", type=int, default=512)
 
@@ -155,7 +155,7 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("scan", help="per-tau rows: roots, disc Q, gap counts")
-    _add_common(p, fmt_default="csv")
+    _add_common(p, formats=("csv", "json"))
     p.add_argument("--tau-list", required=True, help="comma-separated Im tau")
     p.add_argument("--gaps", action="store_true",
                    help="also count interior gap eigenvalues")

@@ -11,7 +11,9 @@ Real solutions of Delta = +-2 are not searched for on Delta: they are the
 real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
 the closed-form Fourier modes of the potential (Deconinck & Kutz, J. Comput.
 Phys. 219, 2006; Curtis & Deconinck, Math. Comp. 79, 2010), and Delta only
-certifies them.
+certifies them.  One batched Newton polisher (_polish) serves every point
+that is certified on Delta: these eigenvalues, and the band edges that
+spectrum's adjudication of near-real Q root clusters recovers.
 """
 
 from __future__ import annotations
@@ -88,8 +90,11 @@ class IntegratorSettings:
     max_steps: int = 10**6
 
     def __post_init__(self) -> None:
-        if self.rel_tol < 1e-13:
-            raise ValueError("rel_tol below 1e-13 is not resolvable in doubles")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol >= 1e-13):
+            raise ValueError("rel_tol must be finite and >= 1e-13 (below that "
+                             "it is not resolvable in doubles)")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
+            raise ValueError("abs_tol must be finite and > 0")
         if self.max_steps < 10**3:
             raise ValueError("max_steps must be >= 1000")
 
@@ -337,39 +342,46 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     return sorted(clusters)
 
 
-def _certify(spec: PotentialSpec, E0: np.ndarray, target: np.ndarray,
-             double: np.ndarray, settings: IntegratorSettings
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Polish Hill eigenvalues on Delta; return them with |Delta(E) - target|.
+def _polish(spec: PotentialSpec, E0: np.ndarray, target: np.ndarray,
+            double: np.ndarray, settings: IntegratorSettings
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Batched Newton polish of real points on Delta.
 
-    Every pass is one batched Delta, Delta' call.  Simple hits take a single
-    Newton step on Delta = target.  Double hits (Delta touching +-2) run
-    Newton on Delta' = 0, with Delta'' from a central difference of Delta'.
-    One closing Delta call measures the residuals.
+    Every pass is one Delta, Delta' call over the points still moving.  A
+    crossing runs Newton on Delta = target and stops once its step is at
+    most 1e-8 (1 + |E|): Newton converges quadratically, so the next step
+    would be negligible.  A double (``double`` true; target unused) runs
+    Newton on an extremum of Delta^2 - 4, i.e. on Delta Delta' = 0 with
+    derivative Delta'^2 + Delta Delta'', and stops at a step of
+    1e-13 (1 + |E|).  The extremum objective also finds a minimum where
+    Delta = 0 inside a band, which Newton on Delta' = 0 would miss.
+    Delta'' is a central difference of Delta' at E +- h,
+    h = 1e-5 (1 + |E0|), and every step is clipped to +-10 h, so callers
+    check their own window afterwards.  Returns the points with Delta,
+    Delta' and Delta'' (0 for crossings) from each point's last pass.
     """
     E = E0.astype(float).copy()
     h = 1e-5 * (1.0 + np.abs(E))
+    delta, d1, d2 = np.zeros((3, E.size))
     live = np.ones(E.size, dtype=bool)
     for _ in range(10):
         idx = np.nonzero(live)[0]
         if not idx.size:
             break
-        tan = idx[double[idx]]
+        dbl = double[idx]
+        tan = idx[dbl]
         pts = np.concatenate([E[idx], E[tan] + h[tan], E[tan] - h[tan]])
         dval, dder = discriminant_batch(spec, pts, settings, derivative=True)
         n, m = idx.size, tan.size
-        d1 = dder[:n].real
-        d2 = np.zeros(n)
-        d2[double[idx]] = (dder[n:n + m].real - dder[n + m:].real) / (2.0 * h[tan])
-        f = np.where(double[idx], d1, dval[:n].real - target[idx])
-        fp = np.where(double[idx], d2, d1)
+        delta[idx], d1[idx] = dval[:n].real, dder[:n].real
+        d2[tan] = (dder[n:n + m].real - dder[n + m:].real) / (2.0 * h[tan])
+        f = np.where(dbl, delta[idx] * d1[idx], delta[idx] - target[idx])
+        fp = np.where(dbl, d1[idx] ** 2 + delta[idx] * d2[idx], d1[idx])
         step = np.divide(f, fp, out=np.zeros(n), where=np.abs(fp) > 1e-300)
-        step = np.where(double[idx], np.clip(step, -10.0 * h[idx], 10.0 * h[idx]),
-                        step)
-        E[idx] -= step
-        live[idx] = double[idx] & (np.abs(step) > 1e-13 * (1.0 + np.abs(E[idx])))
-    delta = discriminant_batch(spec, E, settings)
-    return E, np.abs(delta.real - target)
+        E[idx] -= np.clip(step, -10.0 * h[idx], 10.0 * h[idx])
+        stop = np.where(dbl, 1e-13, 1e-8) * (1.0 + np.abs(E[idx]))
+        live[idx] = np.abs(step) > stop
+    return E, delta, d1, d2
 
 
 def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
@@ -383,10 +395,10 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
     decay, raised so that (2 pi K)^2 >= 16 max(|a|, |b|); the candidates at K
     and at 2K must agree in a slightly widened window, or ResolutionError is
     raised.  The cluster size is the order estimate (2 for a tangential
-    touch, 1 for a crossing), and Delta certifies every hit (see _certify):
-    a residual |Delta - parity| above 1e-6 raises TolFailure.  Requires Delta
-    real on [a, b] (tau on the imaginary axis, trig-limit, or real constant
-    mode).
+    touch, 1 for a crossing), and Delta certifies every hit: each is
+    polished (see _polish), and a closing residual |Delta - parity| above
+    1e-6 raises TolFailure.  Requires Delta real on [a, b] (tau on the
+    imaginary axis, trig-limit, or real constant mode).
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -412,7 +424,8 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
     E0 = np.array([c[0] for c in found])
     target = np.array([float(c[1]) for c in found])
     order = np.array([c[2] for c in found])
-    E, residual = _certify(spec, E0, target, order >= 2, settings)
+    E = _polish(spec, E0, target, order >= 2, settings)[0]
+    residual = np.abs(discriminant_batch(spec, E, settings).real - target)
     worst = int(np.argmax(residual))
     if residual[worst] > 1e-6:
         raise TolFailure(f"Hill eigenvalue E={E[worst]} fails the Delta check "

@@ -1,7 +1,9 @@
 """Spectral picture assembly: bands, gap eigenvalue counts, stability arcs.
 
 Ties the other modules together: roots of the spectral polynomial give the
-band edges (when real and distinct), Hill's method finds the interior
+band edges (when real and distinct; root clusters too close to the real
+axis for Q's coefficients to resolve are adjudicated against Delta with
+the shared batched polisher floquet._polish), Hill's method finds the interior
 (anti)periodic eigenvalues of each bounded band interval (E_{2j-1}, E_{2j-2})
 and the discriminant certifies them, and a marching-squares pass over
 Im Delta = 0 recovers the conditional stability set as polylines in the
@@ -22,6 +24,7 @@ from .floquet import (
     EigenvalueHit,
     IntegratorSettings,
     _line_potential,
+    _polish,
     _transport_fixed,
     discriminant_batch,
     periodic_eigenvalues_on_interval,
@@ -152,111 +155,35 @@ class ArcSet:
 
 
 def _resolve_ambiguous_pairs(spec, roots, settings):
-    """Let the discriminant adjudicate conjugate pairs hugging the real axis.
+    """Let the discriminant adjudicate root clusters hugging the real axis.
 
     Exponentially narrow bands split band-edge pairs by less than the
     spectral polynomial's coefficient accuracy can resolve, so such pairs
-    can surface with a spurious small imaginary part.  Delta resolves them
-    easily: two sign changes of Delta^2 - 4 across the cluster mean a real
-    band-edge pair, whose polished crossings replace the cluster; no sign
-    change confirms the complex pair.  Pairs with |Im| > 1e-4 * scale are
-    far above coefficient noise and are never touched.
+    surface as conjugate pairs with a spurious small imaginary part, or as
+    real doubles.  Pairs with |Im| > 1e-4 * scale are far above coefficient
+    noise and are never touched.  All clusters of one call share one
+    batched Delta, Delta' call at their centres and one batched polish (see
+    floquet._polish):
+
+    * |Delta(centre)| < 1.9: the cluster straddles a band whose edges are
+      transversal crossings of Delta = -+2, steep for narrow bands.  Each
+      is polished from its linear prediction and certified by a sign
+      change of Delta - target across E -+ 0.1 / |Delta'|; the 0.1 margin
+      matches the 1.9 threshold that certified Delta(centre).
+    * otherwise the extremum f* of f = Delta^2 - 4 near the centre decides:
+      f* < 0 with f'' = 2 Delta'^2 + 2 Delta Delta'' > 0 is a band of
+      half-width sqrt(-2 f* / f''), f* > 0 with f'' < 0 a gap, which
+      confirms the complex pair.
+
+    A cluster whose polished points leave its window, whose |f*| is below
+    1e-8, or whose split is below float resolution stays as it was.
     """
     if spec.mode == "elliptic" and abs(spec.torus.tau.real) > 1e-12:
         return roots
-    vals = [r.value for r in roots]
-    scale = 1.0 + max(abs(v) for v in vals)
+    scale = 1.0 + max(abs(r.value) for r in roots)
 
-    def newton_target(e_start: float, target: float, window: float, center: float):
-        e_val = e_start
-        dp = 0.0
-        for _ in range(30):
-            dval, dder = discriminant_batch(spec, [e_val], settings,
-                                            derivative=True)
-            f = float(dval.real[0]) - target
-            dp = float(dder.real[0])
-            if abs(dp) < 1e-300 or abs(e_val - center) > window:
-                return None
-            step = f / dp
-            e_val -= step
-            if abs(step) <= 1e-14 * (1.0 + abs(e_val)):
-                break
-        if abs(e_val - center) > window:
-            return None  # Newton diverged out of the cluster window
-        resid = abs(float(discriminant_batch(spec, [e_val], settings).real[0])
-                    - target)
-        # this path runs only with Delta(center) strictly inside (-2, 2), so
-        # the crossings exist topologically; the residual bound just guards
-        # divergence.  Its floor combines the slope * eps_E quantization and
-        # the transport noise (rel_tol times the monodromy entry size, which
-        # reaches ~1e9 for pole-hugging potentials).
-        resid_tol = max(1e-3, abs(dp) * (1.0 + abs(e_val)) * 2e-15)
-        if resid < resid_tol:
-            return e_val
-        # near poles the plain transport (steps sized without the
-        # variational rows) can sit ~0.03 off the Newton transport; a sign
-        # change of Delta - target bracketed at that noise scale still
-        # certifies the crossing
-        h = 4.0 * resid / abs(dp)
-        f_pm = discriminant_batch(spec, [e_val - h, e_val + h], settings).real
-        return e_val if (f_pm[0] - target) * (f_pm[1] - target) < 0.0 else None
-
-    def band_edges(center: float, window: float):
-        """Edges of a micro band near center, or None if Delta says complex.
-
-        If Delta(center) lands strictly inside (-2, 2) the cluster straddles
-        a band whose edges are transversal Delta = +-2 crossings (steep for
-        narrow bands, so Newton resolves any width).  Otherwise the minimum
-        of Delta^2 - 4 near the cluster decides: a negative minimum is a
-        tangential micro band, a positive one confirms the complex pair.
-        """
-        dval, dder = discriminant_batch(spec, [center], settings,
-                                        derivative=True)
-        d0 = float(dval.real[0])
-        slope = float(dder.real[0])
-        if abs(d0) < 1.9 and abs(slope) > 1e-300:
-            lo_t, hi_t = (-2.0, 2.0) if slope > 0 else (2.0, -2.0)
-            left = newton_target(center - (d0 - lo_t) / slope, lo_t, window, center)
-            right = newton_target(center - (d0 - hi_t) / slope, hi_t, window, center)
-            if left is None or right is None:
-                return None
-            return sorted((left, right))
-
-        # extremum of f = Delta^2 - 4 via Newton on f' = 2 Delta Delta'
-        e_ext = float(center)
-        h = max(1e-9 * (1.0 + abs(center)), window * 1e-4)
-        for _ in range(30):
-            pts = np.array([e_ext, e_ext + h, e_ext - h])
-            dval, dder = discriminant_batch(spec, pts, settings, derivative=True)
-            fp = 2.0 * dval.real * dder.real
-            f2 = (fp[1] - fp[2]) / (2.0 * h)
-            if abs(f2) < 1e-300:
-                return None
-            step = fp[0] / f2
-            step = max(-window, min(window, step))
-            e_ext -= step
-            if abs(e_ext - center) > window:
-                return None
-            if abs(step) <= 1e-14 * (1.0 + abs(e_ext)):
-                break
-            h = max(min(h, abs(step)), 1e-13 * (1.0 + abs(e_ext)))
-        pts = np.array([e_ext, e_ext + h, e_ext - h])
-        dval, dder = discriminant_batch(spec, pts, settings, derivative=True)
-        f_vals = dval.real**2 - 4.0
-        f2 = (f_vals[1] + f_vals[2] - 2.0 * f_vals[0]) / h**2
-        f_star = float(f_vals[0])
-        # below the discriminant's own resolution nothing can be decided
-        if abs(f_star) < 1e-8 or abs(f2) < 1e-300 or f_star * f2 > 0.0:
-            return None
-        half = math.sqrt(-2.0 * f_star / f2)
-        if half <= 1e-12 * (1.0 + abs(e_ext)):
-            return None  # split below float resolution: leave unresolved
-        return [e_ext - half, e_ext + half]
-
-    out = list(roots)
-    changed = False
-
-    # spurious conjugate pairs within coefficient noise of the axis
+    # (indices of the roots a cluster replaces, centre, window)
+    clusters = []
     ambiguous = [
         i for i, r in enumerate(roots)
         if not r.is_real and r.multiplicity == 1
@@ -275,30 +202,65 @@ def _resolve_ambiguous_pairs(spec, roots, settings):
         if mate is None:
             continue
         handled.update((i, mate))
-        window = max(16.0 * abs(roots[i].value.imag), 1e-6 * scale)
-        edges = band_edges(roots[i].value.real, window)
-        if edges is None:
-            continue  # no band here: the complex pair stands
-        out[i] = RootCluster(value=complex(edges[0], 0.0), multiplicity=1,
-                             is_real=True)
-        out[mate] = RootCluster(value=complex(edges[1], 0.0), multiplicity=1,
-                                is_real=True)
-        changed = True
-
-    # real double clusters whose splitting fell below the merge resolution
-    for i, r in enumerate(roots):
-        if r.is_real and r.multiplicity == 2:
-            edges = band_edges(r.value.real, 2e-5 * scale)
-            if edges is None:
-                continue
-            out[i] = RootCluster(value=complex(edges[0], 0.0), multiplicity=1,
-                                 is_real=True)
-            out.append(RootCluster(value=complex(edges[1], 0.0),
-                                   multiplicity=1, is_real=True))
-            changed = True
-
-    if not changed:
+        clusters.append(((i, mate), roots[i].value.real,
+                         max(16.0 * abs(roots[i].value.imag), 1e-6 * scale)))
+    # real doubles whose splitting fell below the merge resolution
+    clusters += [((i,), r.value.real, 2e-5 * scale) for i, r in enumerate(roots)
+                 if r.is_real and r.multiplicity == 2]
+    if not clusters:
         return roots
+
+    centre = np.array([c[1] for c in clusters])
+    window = np.array([c[2] for c in clusters])
+    d0, slope = discriminant_batch(spec, centre, settings, derivative=True)
+    d0, slope = d0.real, slope.real
+    crossing = (np.abs(d0) < 1.9) & (np.abs(slope) > 1e-300)
+    cross, ext = np.nonzero(crossing)[0], np.nonzero(~crossing)[0]
+    nc = 2 * cross.size
+    # a straddled band has Delta = lower_t below its centre and -lower_t above
+    owner = np.concatenate([cross, cross, ext])
+    oc = owner[:nc]
+    lower_t = -2.0 * np.sign(slope[cross])
+    target = np.concatenate([lower_t, -lower_t, np.zeros(ext.size)])
+    start = np.concatenate([centre[oc] - (d0[oc] - target[:nc]) / slope[oc],
+                            centre[ext]])
+    E, dval, dder, d2 = _polish(spec, start, target, np.arange(owner.size) >= nc,
+                                settings)
+    ok = np.abs(E - centre[owner]) <= window[owner]
+    if nc:
+        margin = np.minimum(0.1 / np.maximum(np.abs(dder[:nc]), 1e-300),
+                            window[oc])
+        f_pm = discriminant_batch(spec, np.concatenate([E[:nc] - margin,
+                                                        E[:nc] + margin]),
+                                  settings).real - np.tile(target[:nc], 2)
+        ok[:nc] &= f_pm[:nc] * f_pm[nc:] < 0.0
+    f_star = dval[nc:] ** 2 - 4.0
+    f2 = 2.0 * dder[nc:] ** 2 + 2.0 * dval[nc:] * d2[nc:]
+    half = np.sqrt(np.divide(-2.0 * f_star, f2, out=np.zeros(ext.size),
+                             where=f_star * f2 < 0.0))
+    ok[nc:] &= ((np.abs(f_star) >= 1e-8) & (f_star * f2 < 0.0)
+                & (half > 1e-12 * (1.0 + np.abs(E[nc:]))))
+
+    edges = {}
+    for k, c in enumerate(cross):
+        if ok[k] and ok[cross.size + k]:
+            edges[c] = sorted((E[k], E[cross.size + k]))
+    for k, c in enumerate(ext):
+        if ok[nc + k]:
+            edges[c] = [E[nc + k] - half[k], E[nc + k] + half[k]]
+    if not edges:
+        return roots
+
+    out = list(roots)
+    for c, (lo, hi) in edges.items():
+        first, *rest = clusters[c][0]
+        out[first] = RootCluster(value=complex(lo, 0.0), multiplicity=1,
+                                 is_real=True)
+        edge = RootCluster(value=complex(hi, 0.0), multiplicity=1, is_real=True)
+        if rest:
+            out[rest[0]] = edge
+        else:
+            out.append(edge)
     order = sorted(range(len(out)),
                    key=lambda k: (-out[k].value.real, -out[k].value.imag))
     return [out[k] for k in order]
@@ -308,8 +270,9 @@ def classify_spectrum(spec: PotentialSpec,
                       settings: Optional[IntegratorSettings] = None) -> SpectrumReport:
     """Roots of Q, band intervals per the real-distinct case, complex pairs.
 
-    Near-real conjugate pairs within coefficient noise of the axis are
-    adjudicated against the discriminant (see _resolve_ambiguous_pairs).
+    Near-real conjugate pairs within coefficient noise of the axis, and real
+    doubles, are adjudicated against the discriminant (see
+    _resolve_ambiguous_pairs).
     """
     settings = settings or DEFAULT_SETTINGS
     poly = spectral_polynomial(spec)
@@ -504,8 +467,8 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
     short vertical whiskers where Delta is real and barely outside [-2, 2];
     they satisfy the same tolerance and are reported as arc points.
     """
-    if resolution > 2048:
-        raise ValueError("resolution capped at 2048 per side")
+    if not 2 <= resolution <= 2048:
+        raise ValueError("resolution must lie in [2, 2048] per side")
     settings = settings or DEFAULT_SETTINGS
     re0, re1, im0, im1 = window
     xs = np.linspace(re0, re1, resolution)

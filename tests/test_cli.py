@@ -221,6 +221,8 @@ class TestBoundaryValidation:
         ["arcs", "--n", "1,0,0,0", "--window=-1,1,nan,1"],
         ["arcs", "--n", "1,0,0,0", "--window=-1,1,-1,1", "--res", "0"],
         ["arcs", "--n", "1,0,0,0", "--window=-1,1,-1,1", "--res", "1"],
+        ["spectrum", "--n", "1,0,0,0", "--format", "csv"],
+        ["verify", "--n", "1,0,0,0", "--format", "csv"],
     ])
     def test_bad_value_is_usage_error(self, capsys, argv):
         code, _, err = run(capsys, *argv)

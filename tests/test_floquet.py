@@ -87,6 +87,17 @@ class TestMonodromy:
         delta = discriminant_batch(spec_2210, np.array([-30.0, -5.0, 3.0]))
         assert np.max(np.abs(delta.imag)) < 1e-8
 
+    @pytest.mark.parametrize("kwargs", [
+        {"rel_tol": 1e-14}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
+        {"abs_tol": -1.0}, {"abs_tol": 0.0}, {"abs_tol": math.inf},
+        {"abs_tol": math.nan},
+    ])
+    def test_bad_tolerance_rejected(self, kwargs):
+        # abs_tol = -1 and rel_tol = inf used to return a wrong Delta, NaN a
+        # misleading step size underflow
+        with pytest.raises(ValueError):
+            IntegratorSettings(**kwargs)
+
     def test_step_limit(self, const_spec):
         settings = IntegratorSettings(max_steps=1000)
         with pytest.raises(StepLimitExceeded):

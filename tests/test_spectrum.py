@@ -8,7 +8,7 @@ import pytest
 from hillband.elliptic import invariants
 from hillband.errors import BandStructureMissing
 from hillband.floquet import discriminant_derivative
-from hillband.potential import MultiplicityVector
+from hillband.potential import MultiplicityVector, PotentialSpec
 from hillband.spectrum import (
     classify_spectrum,
     gap_eigenvalue_report,
@@ -50,6 +50,73 @@ class TestClassifySpectrum:
         assert d["all_real_distinct"] is True
         assert d["bands"][0][0] is None
         assert "ray" in d and "coeffs" in d
+
+
+class TestAdjudication:
+    """Each outcome of the Delta adjudication of near-real Q clusters.
+
+    Reference roots (re, im, multiplicity) are recorded to 13 digits; every
+    root must keep its multiplicity and reality and stay within 1e-9 * scale.
+    """
+
+    CASES = [
+        # a real double at E ~ 768 straddles a micro band: crossing split
+        ((3, 0, 3, 0), 0.6, [
+            (767.7849887457, 0.0, 1), (767.7849887421, 0.0, 1),
+            (219.4736964487, 0.0, 1), (219.4736120208, 0.0, 1),
+            (-109.3641526796, 0.0, 1), (-109.6622837894, 0.0, 1),
+            (-219.1755653428, 0.0, 1)]),
+        # Delta(centre) ~ 9.8 at E ~ 713: split through a Delta = 0 minimum
+        # of Delta^2 - 4 (a condition vector, so C3/C4 do not check it)
+        ((3, 0, 3, 2), 0.6, [
+            (713.0805624241, 0.0, 1), (713.0805624141, 0.0, 1),
+            (164.8143078433, 0.0, 1), (164.813885659, 0.0, 1),
+            (-160.6189801185, 18.72060092394, 1),
+            (-160.6189801185, -18.72060092394, 1),
+            (-222.3948888264, 0.0, 1), (-271.4207382136, 0.0, 1),
+            (-282.3148950008, 0.0, 1)]),
+        # the conjugate pair 55.823 +- 0.0035i becomes two real edges
+        ((3, 2, 3, 3), 0.6, [
+            (603.7164072928, 0.0, 1), (603.7164071273, 0.0, 1),
+            (302.2916829768, 0.0, 1), (302.2856556722, 0.0, 1),
+            (55.82730824806, 0.0, 1), (55.81849053686, 0.0, 1),
+            (-135.1944647202, 0.0, 1), (-135.6869627516, 0.0, 1),
+            (-265.8121376653, 0.0, 1), (-275.4559000846, 0.0, 1),
+            (-334.6204579875, 0.0, 1), (-383.15428246, 0.0, 1),
+            (-393.7317462159, 0.0, 1)]),
+        # |Delta| - 2 at E ~ -118 is below float64 resolution: stays double
+        ((2, 2, 0, 0), 1.7, [
+            (39.45666047501, 0.0, 1), (9.986172629107e-11, 0.0, 1),
+            (-0.04352325552041, 0.0, 1), (-118.4570179395, 0.0, 2)]),
+    ]
+
+    @pytest.mark.parametrize("tup,b,expected", CASES)
+    def test_outcome(self, tup, b, expected):
+        rep = classify_spectrum(PotentialSpec.elliptic(mv(*tup), 1j * b))
+        got = [(r.value.real, r.value.imag, r.multiplicity, r.is_real)
+               for r in rep.roots]
+        assert [g[2:] for g in got] == [(m, im == 0.0) for _, im, m in expected]
+        scale = 1.0 + max(abs(complex(re, im)) for re, im, _ in expected)
+        for (re, im, _, _), (re0, im0, _) in zip(got, expected):
+            assert abs(complex(re - re0, im - im0)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("tup,b", [((3, 0, 3, 0), 0.6), ((3, 3, 1, 0), 1.7)])
+    def test_delta_calls_bounded(self, tup, b, monkeypatch):
+        # one batched call at the cluster centres, the shared polish passes
+        # and one bracket call; per-cluster scalar Newton loops made 8 to 16
+        from hillband import floquet, spectrum
+
+        calls = []
+        original = floquet.discriminant_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "discriminant_batch", counting)
+        monkeypatch.setattr(spectrum, "discriminant_batch", counting)
+        classify_spectrum(PotentialSpec.elliptic(mv(*tup), 1j * b))
+        assert 0 < len(calls) <= 6
 
 
 class TestGapReport:
@@ -129,6 +196,12 @@ class TestStabilityRegion:
     def test_resolution_cap(self, lame_spec):
         with pytest.raises(ValueError):
             stability_region(lame_spec, (-1, 1, -1, 1), 4096)
+
+    @pytest.mark.parametrize("resolution", [0, 1])
+    def test_resolution_floor(self, lame_spec, resolution):
+        # 0 used to divide by zero and 1 to return an empty ArcSet
+        with pytest.raises(ValueError):
+            stability_region(lame_spec, (-1, 1, -1, 1), resolution)
 
 
 class TestVerifyTheorems:
