@@ -15,6 +15,7 @@ from .errors import (
     SeriesDivergence,
     StepLimitExceeded,
     TolFailure,
+    TransportOverflow,
     UnsupportedMultiplicity,
 )
 from .floquet import (

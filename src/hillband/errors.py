@@ -33,6 +33,10 @@ class TolFailure(HillbandError):
     """Root polishing did not converge to the requested tolerance."""
 
 
+class TransportOverflow(HillbandError):
+    """The fundamental solutions outgrew double precision (|Delta| > ~1e308)."""
+
+
 class NotAnEigenvalue(HillbandError):
     """Discriminant at the query point is not within 1e-4 of +-2."""
 

@@ -4,8 +4,9 @@ The fundamental pair (c, s) of y'' + q(x) y = E y with c(0) = s'(0) = 1,
 c'(0) = s(0) = 0 is transported across one period [0, 1] by an adaptive
 embedded Runge-Kutta 7(8) (Fehlberg's 13-stage pair).  The integrator is
 batched: a whole vector of E values advances in lockstep with a shared
-adaptive step.  A fixed-step variant with precomputed stage potentials serves
-large grids (stability regions) where per-point adaptivity would be wasted.
+adaptive step.  Large E grids (stability regions) are not transported point
+by point: spectrum.stability_region fits a guarded Chebyshev proxy of Delta
+to a few hundred adaptive samples and evaluates the grid from it.
 
 Real solutions of Delta = +-2 are not searched for on Delta: they are the
 real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
@@ -19,12 +20,19 @@ spectrum's adjudication of near-real Q root clusters recovers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NotAnEigenvalue, ResolutionError, StepLimitExceeded, TolFailure
+from .errors import (
+    NotAnEigenvalue,
+    ResolutionError,
+    StepLimitExceeded,
+    TolFailure,
+    TransportOverflow,
+)
 from .kdv_spectral import _line_modes, _mode_cutoff
 from .potential import PotentialSpec, evaluate_potential
 
@@ -95,8 +103,10 @@ class IntegratorSettings:
                              "it is not resolvable in doubles)")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError("abs_tol must be finite and > 0")
-        if self.max_steps < 10**3:
-            raise ValueError("max_steps must be >= 1000")
+        if (isinstance(self.max_steps, bool)
+                or not isinstance(self.max_steps, numbers.Integral)
+                or self.max_steps < 10**3):
+            raise ValueError("max_steps must be an integer >= 1000")
 
     def halved(self) -> "IntegratorSettings":
         return IntegratorSettings(
@@ -185,12 +195,16 @@ def _rk_step(qs: np.ndarray, x: float, h: float, y: np.ndarray,
     return y_new, err
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _transport(qfun, E: np.ndarray, settings: IntegratorSettings,
                variational: bool) -> np.ndarray:
     """Adaptive transport of the fundamental system from x=0 to x=1.
 
     Returns the final state, shape (4, K) or (8, K) with rows
-    (c, c', s, s'[, dc/dE, dc'/dE, ds/dE, ds'/dE]).
+    (c, c', s, s'[, dc/dE, dc'/dE, ds/dE, ds'/dE]).  A trial step that
+    overflows has a non-finite error norm and is rejected, so overflow ends
+    in step size underflow; it is raised there as TransportOverflow, and
+    the float warnings of the rejected trials are not printed.
     """
     E = np.asarray(E, dtype=complex).ravel()
     K = E.size
@@ -224,6 +238,12 @@ def _transport(qfun, E: np.ndarray, settings: IntegratorSettings,
             factor = max(0.1, 0.9 * norm ** (-0.125))
         h *= factor
         if h < 1e-13:
+            if not math.isfinite(norm):
+                what = ("fundamental solutions overflow" if np.isfinite(qs).all()
+                        else "potential on the sampling line overflows")
+                raise TransportOverflow(
+                    f"{what} double precision at x={x:.6f} "
+                    f"(|E| up to {float(np.abs(E).max()):.3g})")
             raise TolFailure("step size underflow in adaptive transport")
     return y
 
@@ -232,8 +252,9 @@ def _transport_fixed(qfun, E: np.ndarray, nsteps: int,
                      variational: bool = False) -> np.ndarray:
     """Fixed-step transport using the 8th-order weights.
 
-    Stage potentials for all steps are precomputed in one vectorized call,
-    which is the fast path for large E grids (stability regions).
+    Stage potentials for all steps are precomputed in one vectorized call.
+    No library code calls it any more; bench/layers.json still traces it by
+    name, and it goes when that file drops the entry.
     """
     E = np.asarray(E, dtype=complex).ravel()
     K = E.size

@@ -6,26 +6,23 @@ axis for Q's coefficients to resolve are adjudicated against Delta with
 the shared batched polisher floquet._polish), Hill's method finds the interior
 (anti)periodic eigenvalues of each bounded band interval (E_{2j-1}, E_{2j-2})
 and the discriminant certifies them, and a marching-squares pass over
-Im Delta = 0 recovers the conditional stability set as polylines in the
-complex E plane.
+Im Delta = 0, on a guarded Chebyshev proxy of Delta, recovers the
+conditional stability set as polylines in the complex E plane.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import BandStructureMissing, HillbandError
+from .errors import BandStructureMissing, HillbandError, ResolutionError
 from .floquet import (
     DEFAULT_SETTINGS,
     EigenvalueHit,
     IntegratorSettings,
-    _line_potential,
     _polish,
-    _transport_fixed,
     discriminant_batch,
     periodic_eigenvalues_on_interval,
 )
@@ -361,54 +358,185 @@ def gap_eigenvalue_report(spec: PotentialSpec,
 def _marching_segments(xs, ys, im_grid, re_grid):
     """Segments of the Im Delta = 0 level set, keyed by global cell edges.
 
-    Returns a list of ((key_a, pt_a), (key_b, pt_b)) where keys identify
-    grid edges ('h'/'v', iy, ix) and pts are (x, y, re_delta) from linear
-    interpolation.
+    Returns a list of ((key_a, pt_a), (key_b, pt_b)), cell by cell in
+    row-major order, where keys identify grid edges ('h'/'v', iy, ix) and
+    pts are (x, y, re_delta) from linear interpolation along the edge from
+    its left or lower corner.  Within a cell the crossed edges are taken in
+    the order bottom, right, top, left; a cell crossed on all four (a
+    saddle) is resolved by the sign of its corner mean.
     """
+    pos = im_grid > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        th = im_grid[:, :-1] / (im_grid[:, :-1] - im_grid[:, 1:])
+        tv = im_grid[:-1] / (im_grid[:-1] - im_grid[1:])
+    # (x, y, re_delta) of the crossing on every horizontal and vertical edge,
+    # with the per-cell interpolation's arithmetic (t * 0.0 included), so the
+    # points do not depend on which cell an edge is reached from
+    xh, yh = xs[None, :-1] + th * (xs[1:] - xs[:-1]), ys[:, None] + th * 0.0
+    xv, yv = xs[None, :] + tv * 0.0, ys[:-1, None] + tv * (ys[1:] - ys[:-1])[:, None]
+    edge_pts = {
+        "h": np.stack([xh, yh, re_grid[:, :-1] + th * (re_grid[:, 1:] - re_grid[:, :-1])], -1),
+        "v": np.stack([xv, yv, re_grid[:-1] + tv * (re_grid[1:] - re_grid[:-1])], -1),
+    }
 
-    def interp(v0, v1, p0, p1, r0, r1):
-        t = v0 / (v0 - v1)
-        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]),
-                r0 + t * (r1 - r0))
+    # per cell: crossings on its bottom, right, top and left edges
+    cross = np.stack([pos[:-1, :-1] != pos[:-1, 1:], pos[:-1, 1:] != pos[1:, 1:],
+                      pos[1:, :-1] != pos[1:, 1:], pos[:-1, :-1] != pos[1:, :-1]],
+                     -1).reshape(-1, 4)
+    count = cross.sum(axis=1)
+    pair = np.nonzero(count == 2)[0]
+    first = np.argmax(cross[pair], axis=1)
+    last = 3 - np.argmax(cross[pair, ::-1], axis=1)
+    saddle = np.nonzero(count == 4)[0]
+    v0, v1 = im_grid[:-1, :-1].ravel()[saddle], im_grid[:-1, 1:].ravel()[saddle]
+    v2, v3 = im_grid[1:, 1:].ravel()[saddle], im_grid[1:, :-1].ravel()[saddle]
+    joins_left = (0.25 * (((v0 + v1) + v2) + v3) > 0.0) == (v0 > 0.0)
+    # saddle segments: (bottom, left) and (right, top), else (bottom, right)
+    # and (top, left)
+    cell = np.concatenate([pair, saddle, saddle])
+    rank = np.concatenate([np.zeros(pair.size + saddle.size, dtype=int),
+                           np.ones(saddle.size, dtype=int)])
+    edge_a = np.concatenate([first, np.zeros(saddle.size, dtype=int),
+                             np.where(joins_left, 1, 2)])
+    edge_b = np.concatenate([last, np.where(joins_left, 3, 1),
+                             np.where(joins_left, 2, 3)])
+    order = np.lexsort((rank, cell))
+    iy, ix = np.divmod(cell[order], xs.size - 1)
 
-    nrows, ncols = im_grid.shape
-    segments = []
-    for iy in range(nrows - 1):
-        for ix in range(ncols - 1):
-            v = (im_grid[iy, ix], im_grid[iy, ix + 1],
-                 im_grid[iy + 1, ix + 1], im_grid[iy + 1, ix])
-            sgn = tuple(x > 0.0 for x in v)
-            if all(sgn) or not any(sgn):
-                continue
-            corners = ((xs[ix], ys[iy]), (xs[ix + 1], ys[iy]),
-                       (xs[ix + 1], ys[iy + 1]), (xs[ix], ys[iy + 1]))
-            rvals = (re_grid[iy, ix], re_grid[iy, ix + 1],
-                     re_grid[iy + 1, ix + 1], re_grid[iy + 1, ix])
-            # edge id, corner index pair
-            edges = (
-                (("h", iy, ix), 0, 1),
-                (("v", iy, ix + 1), 1, 2),
-                (("h", iy + 1, ix), 3, 2),
-                (("v", iy, ix), 0, 3),
-            )
-            crossings = []
-            for key, a, b in edges:
-                if sgn[a] != sgn[b]:
-                    pt = interp(v[a], v[b], corners[a], corners[b],
-                                rvals[a], rvals[b])
-                    crossings.append((key, pt))
-            if len(crossings) == 2:
-                segments.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                # saddle: resolve by the center sign
-                center = 0.25 * sum(v)
-                if (center > 0.0) == sgn[0]:
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
+    def ends(edge):
+        kinds = np.where(edge % 2 == 0, "h", "v")
+        rows, cols = iy + (edge == 2), ix + (edge == 1)
+        keys = list(zip(kinds.tolist(), rows.tolist(), cols.tolist()))
+        pts = np.empty((edge.size, 3))
+        for kind in ("h", "v"):
+            sel = kinds == kind
+            pts[sel] = edge_pts[kind][rows[sel], cols[sel]]
+        return list(zip(keys, map(tuple, pts.tolist())))
+
+    return list(zip(ends(edge_a[order]), ends(edge_b[order])))
+
+
+# -- Delta proxy: guarded tensor Chebyshev series on panels of the window ----
+
+_PROXY_START = 16  # Chebyshev nodes per axis of a panel's first fit
+_PROXY_TAIL = 1e-13  # trailing coefficients below this share of the largest
+_PROXY_GUARD = 1e-8  # off-node check: |proxy - Delta| <= this * max(1, |Delta|)
+_PROXY_MAX_NODES = 1 << 16  # nodes per window, also at most max(res, 16)^2
+# off-node check abscissae on [-1, 1], used on both axes of a panel: the ends
+# carry the largest interpolation error, and where |Delta| grows like
+# exp(sqrt(E)) along Re it is smallest, relative to the panel, at the left end
+_GUARD_T = np.array([-1.0, -0.83, -0.41, 0.07, 0.56, 0.92, 1.0])
+
+
+def _cheb_basis(t: np.ndarray, n: int) -> np.ndarray:
+    """T_0 .. T_{n-1} at the points t by the three-term recurrence, (t.size, n)."""
+    v = np.empty((n, t.size))
+    v[0] = 1.0
+    if n > 1:
+        v[1] = t
+    for k in range(2, n):
+        v[k] = 2.0 * t * v[k - 1] - v[k - 2]
+    return v.T
+
+
+def _cheb_points(n: int) -> np.ndarray:
+    """First-kind Chebyshev points on [-1, 1]."""
+    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
+
+
+def _affine(lo: float, hi: float) -> tuple[float, float]:
+    """Centre and half-width of [lo, hi]; a zero width maps [lo - 1, lo + 1]."""
+    return 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
+
+
+def _cheb_eval(c: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
+    """sum c[j, k] T_j(ty) T_k(tx) on the tensor grid ty x tx."""
+    return _cheb_basis(ty, c.shape[0]) @ c @ _cheb_basis(tx, c.shape[1]).T
+
+
+def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
+                 settings: IntegratorSettings) -> np.ndarray:
+    """Delta on the grid xs + i ys from guarded tensor Chebyshev fits.
+
+    Delta is entire in E, so its tensor Chebyshev series on a rectangle
+    converges geometrically.  A panel [lo, hi] x [Im window] starts at
+    16 x 16 first-kind nodes; an axis doubles its node count while its three
+    trailing coefficient columns exceed 1e-13 of the largest coefficient.
+    Each round samples the nodes of every open panel in one adaptive Delta
+    call.  A converged panel is checked against direct Delta at 7 x 7 fixed
+    off-node points: each must satisfy
+    |proxy - Delta| <= 1e-8 max(1, |Delta|), or the panel is split in two
+    along Re and both halves are refitted, since |Delta| grows like
+    exp(sqrt(E)) along Re and one panel's relative accuracy is spent on its
+    largest values.  A window that needs more nodes than the grid has
+    points (or than one first round, 16^2, on grids coarser than that), or
+    more than 2^16, raises ResolutionError: no unchecked proxy reaches the
+    grid.
+    """
+    lo, hi = sorted((float(xs[0]), float(xs[-1])))
+    ylo, yhi = sorted((float(ys[0]), float(ys[-1])))
+    ymid, yhalf = _affine(ylo, yhi)
+    cap = min(_PROXY_MAX_NODES,
+              max(xs.size, _PROXY_START) * max(ys.size, _PROXY_START))
+
+    def tensor(a, b, tx, ty):
+        mid, half = _affine(a, b)
+        return ((mid + half * tx)[None, :] + 1j * (ymid + yhalf * ty)[:, None]).ravel()
+
+    def weights(n):
+        w = (2.0 / n) * _cheb_basis(_cheb_points(n), n).T
+        w[0] *= 0.5
+        return w
+
+    pending = [(lo, hi, _PROXY_START, _PROXY_START)]
+    fits = []  # (lo, hi, coefficients)
+    used = 0
+    while pending:
+        used += sum(nx * ny for _, _, nx, ny in pending)
+        if used > cap:
+            raise ResolutionError(
+                f"Delta proxy needs more than {cap} Chebyshev nodes on "
+                f"[{lo}, {hi}] x [{ylo}, {yhi}]")
+        vals = discriminant_batch(spec, np.concatenate(
+            [tensor(a, b, _cheb_points(nx), _cheb_points(ny))
+             for a, b, nx, ny in pending]), settings)
+        refine, fitted = [], []
+        start = 0
+        for a, b, nx, ny in pending:
+            f = vals[start:start + nx * ny].reshape(ny, nx)
+            start += nx * ny
+            c = weights(ny) @ f @ weights(nx).T
+            floor = _PROXY_TAIL * np.abs(c).max()
+            grow_x = np.abs(c[:, -3:]).max() > floor
+            grow_y = np.abs(c[-3:]).max() > floor
+            if grow_x or grow_y:
+                refine.append((a, b, 2 * nx if grow_x else nx,
+                               2 * ny if grow_y else ny))
+            else:
+                fitted.append((a, b, c))
+        if fitted:
+            direct = discriminant_batch(spec, np.concatenate(
+                [tensor(a, b, _GUARD_T, _GUARD_T) for a, b, _ in fitted]),
+                settings).reshape(len(fitted), _GUARD_T.size, _GUARD_T.size)
+            for (a, b, c), d in zip(fitted, direct):
+                proxy = _cheb_eval(c, _GUARD_T, _GUARD_T)
+                if np.all(np.abs(proxy - d) <= _PROXY_GUARD * np.maximum(1.0, np.abs(d))):
+                    fits.append((a, b, c))
                 else:
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
-    return segments
+                    mid = 0.5 * (a + b)
+                    refine += [(a, mid, _PROXY_START, _PROXY_START),
+                               (mid, b, _PROXY_START, _PROXY_START)]
+        pending = refine
+
+    fits.sort(key=lambda fit: fit[0])
+    owner = np.searchsorted([a for a, _, _ in fits[1:]], xs, side="right")
+    ty = (ys - ymid) / yhalf
+    grid = np.empty((ys.size, xs.size), dtype=complex)
+    for p, (a, b, c) in enumerate(fits):
+        cols = owner == p
+        mid, half = _affine(a, b)
+        grid[:, cols] = _cheb_eval(c, (xs[cols] - mid) / half, ty)
+    return grid
 
 
 def _chain_polylines(segments, keep):
@@ -458,38 +586,30 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
                      settings: Optional[IntegratorSettings] = None) -> ArcSet:
     """Conditional stability set Delta^-1([-2, 2]) inside a window.
 
-    Delta is sampled on a resolution^2 grid with the fixed-step transport
-    (stage potentials precomputed), the Im Delta = 0 level set is extracted
-    by marching squares, and every crossing point is Newton-polished in the
-    vertical direction and kept when its polished Delta value lies within
-    arc_tol * max(1, |Delta|) of the real interval [-2, 2].  Near tangential
-    touch points (Delta' = 0 on the real axis) the set legitimately grows
-    short vertical whiskers where Delta is real and barely outside [-2, 2];
-    they satisfy the same tolerance and are reported as arc points.
+    Delta on the resolution^2 grid comes from a guarded tensor Chebyshev
+    proxy (see _delta_proxy): adaptive Delta samples at Chebyshev nodes,
+    checked against direct Delta off the nodes, on panels split along Re
+    until every check holds.  The Im Delta = 0 level set of the grid is
+    extracted by marching squares, and every crossing point is
+    Newton-polished in the vertical direction on direct Delta and kept when
+    its polished Delta value lies within arc_tol * max(1, |Delta|) of the
+    real interval [-2, 2].  Near tangential touch points (Delta' = 0 on the
+    real axis) the set legitimately grows short vertical whiskers where
+    Delta is real and barely outside [-2, 2]; they satisfy the same
+    tolerance and are reported as arc points.
     """
     if not 2 <= resolution <= 2048:
         raise ValueError("resolution must lie in [2, 2048] per side")
+    if not np.all(np.isfinite(window)):
+        raise ValueError("window bounds must be finite")
     settings = settings or DEFAULT_SETTINGS
     re0, re1, im0, im1 = window
     xs = np.linspace(re0, re1, resolution)
     ys = np.linspace(im0, im1, resolution)
-
-    qfun = _line_potential(spec)
-    # step count from the stiffest point of the window; the grid only feeds
-    # the 1e-3-level membership test, polishing reruns adaptively
-    probe = np.abs(qfun(np.linspace(0.0, 1.0, 257)))
-    omega = math.sqrt(max(abs(re0), abs(re1)) + max(abs(im0), abs(im1))
-                      + float(probe.max()))
-    nsteps = max(96, int(math.ceil(6.0 * omega)))
-
-    delta_grid = np.empty((resolution, resolution), dtype=complex)
-    chunk = max(1, (1 << 15) // resolution)
-    for start in range(0, resolution, chunk):
-        rows = ys[start: start + chunk]
-        ee = (xs[None, :] + 1j * rows[:, None]).ravel()
-        y = _transport_fixed(qfun, ee, nsteps)
-        delta_grid[start: start + chunk, :] = (y[0] + y[3]).reshape(len(rows),
-                                                                    resolution)
+    polish_settings = IntegratorSettings(rel_tol=min(settings.rel_tol, 1e-10),
+                                         abs_tol=1e-13,
+                                         max_steps=settings.max_steps)
+    delta_grid = _delta_proxy(spec, xs, ys, polish_settings)
 
     segments = _marching_segments(xs, ys, delta_grid.imag, delta_grid.real)
 
@@ -503,9 +623,6 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
         return ArcSet(polylines=(), window=window, resolution=resolution,
                       arc_tol=1e-3)
     ee = np.array([points[k][0] + 1j * points[k][1] for k in keys])
-    polish_settings = IntegratorSettings(rel_tol=min(settings.rel_tol, 1e-10),
-                                         abs_tol=1e-13,
-                                         max_steps=settings.max_steps)
     for _ in range(3):
         dval, dder = discriminant_batch(spec, ee, polish_settings,
                                         derivative=True)

@@ -341,6 +341,34 @@ class TestC9ArcGeometry:
                f"{elapsed:.1f}s")
         assert ok
 
+    def test_c9_hill_oracle(self, spec_1221):
+        # an oracle that shares no code with Delta: the eigenvalues of the
+        # Floquet-Fourier-Hill matrices H_mu = Toeplitz(q_hat) -
+        # diag((2 pi k + mu)^2), mu in [0, pi], are the spectrum points with
+        # Delta = 2 cos mu.  Each one in C9b's window (-50, 50) x (-16, 16)
+        # must lie within one grid cell of an arc point.
+        t0 = time.time()
+        window, res = (-50.0, 50.0, -16.0, 16.0), 512
+        cell = 100.0 / (res - 1)
+        arcs = stability_region(spec_1221, window, res)
+        z = np.array([complex(p[0], p[1]) for poly in arcs.polylines for p in poly])
+        K = kdv_spectral._mode_cutoff(spec_1221, 0)
+        q = kdv_spectral._line_modes(spec_1221, 2 * K).astype(complex)
+        k = np.arange(-K, K + 1)
+        toeplitz = q[2 * K + k[:, None] - k[None, :]]
+        ev = np.concatenate([
+            np.linalg.eigvals(toeplitz - np.diag((2.0 * math.pi * k + mu) ** 2))
+            for mu in np.linspace(0.0, math.pi, 401)])
+        ev = ev[(np.abs(ev.real) <= 50.0) & (np.abs(ev.imag) <= 16.0)]
+        dist = np.abs(ev[:, None] - z[None, :]).min(axis=1) if z.size else [math.inf]
+        off_axis = int(np.sum(np.abs(ev.imag) > 1e-2))
+        elapsed = time.time() - t0
+        ok = off_axis > 0 and float(np.max(dist)) <= cell
+        report("C9b oracle (Hill eigenvalues on the (1,2,2,1) arcs)", ok,
+               f"{ev.size} Hill points, {off_axis} off-axis, max distance to an "
+               f"arc point {float(np.max(dist)):.3f} (cell {cell:.3f}), {elapsed:.1f}s")
+        assert ok
+
 
 class TestC10ConjectureScan:
     def test_c10(self):

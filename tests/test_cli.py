@@ -110,6 +110,12 @@ class TestDeterminism:
         _, b, _ = run(capsys, "spectrum", "--n", "2,2,1,0", "--tau", "1.0")
         assert a == b
 
+    def test_arcs_byte_identical_runs(self, capsys):
+        argv = ("arcs", "--n", "1,2,2,1", "--window=25,50,-16,16", "--res", "48")
+        _, a, _ = run(capsys, *argv)
+        _, b, _ = run(capsys, *argv)
+        assert a == b and len(a.strip().split("\n")) > 10
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "q.json"
         code, out, _ = run(capsys, "qpoly", "--n", "1,0,0,0", "--tau", "1.0",
@@ -156,6 +162,21 @@ class TestArcs:
         dist = np.abs(fwd[:, None, :] - rev[None, :, :]).max(axis=2)
         assert dist.min(axis=1).max() <= 1e-9
         assert dist.min(axis=0).max() <= 1e-9
+
+
+    def test_loose_rtol(self, capsys):
+        # the Delta samples behind the grid and the polish run at rel_tol
+        # min(rtol, 1e-10); a loose --rtol still passes the proxy's check
+        def points(*extra):
+            code, out, _ = run(capsys, "arcs", "--n", "1,0,0,0",
+                               "--window=-8,8,-0.5,0.5", "--res", "64", *extra)
+            assert code == 0
+            rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+            return np.array([[float(r[1]), float(r[2])] for r in rows])
+
+        loose, default = points("--rtol", "1e-6"), points()
+        assert len(loose) > 10 and loose.shape == default.shape
+        assert np.abs(loose - default).max() <= 1e-6
 
 
 class TestVerifyCommand:
@@ -207,6 +228,31 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [
+        ["disc", "--n", "1,0,0,0", "--E", "1e6,0"],
+        ["arcs", "--n", "1,0,0,0", "--window=-10,1e6,-1,1", "--res", "16"],
+    ])
+    def test_overflow_is_named(self, argv):
+        # Delta ~ exp(sqrt(E)) leaves double precision near E = 5e5; that is
+        # a typed overflow failure, without float warnings on stderr
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import hillband
+
+        src = str(Path(hillband.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "hillband.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert "TransportOverflow" in proc.stderr and "overflow" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 class TestBoundaryValidation:

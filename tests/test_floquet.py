@@ -90,11 +90,13 @@ class TestMonodromy:
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 1e-14}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
         {"abs_tol": -1.0}, {"abs_tol": 0.0}, {"abs_tol": math.inf},
-        {"abs_tol": math.nan},
+        {"abs_tol": math.nan}, {"max_steps": math.nan}, {"max_steps": math.inf},
+        {"max_steps": 2500.0}, {"max_steps": True}, {"max_steps": 999},
     ])
     def test_bad_tolerance_rejected(self, kwargs):
         # abs_tol = -1 and rel_tol = inf used to return a wrong Delta, NaN a
-        # misleading step size underflow
+        # misleading step size underflow; max_steps = nan switched the step
+        # limit off
         with pytest.raises(ValueError):
             IntegratorSettings(**kwargs)
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from hillband.elliptic import invariants
-from hillband.errors import BandStructureMissing
+from hillband import spectrum
+from hillband.errors import BandStructureMissing, ResolutionError
 from hillband.floquet import discriminant_derivative
 from hillband.potential import MultiplicityVector, PotentialSpec
 from hillband.spectrum import (
+    _marching_segments,
     classify_spectrum,
     gap_eigenvalue_report,
     stability_region,
@@ -19,6 +21,54 @@ from hillband.spectrum import (
 
 def mv(*ns):
     return MultiplicityVector(*ns)
+
+
+def marching_segments_loop(xs, ys, im_grid, re_grid):
+    """Per-cell reference for _marching_segments (its former implementation)."""
+
+    def interp(v0, v1, p0, p1, r0, r1):
+        t = v0 / (v0 - v1)
+        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]),
+                r0 + t * (r1 - r0))
+
+    nrows, ncols = im_grid.shape
+    segments = []
+    for iy in range(nrows - 1):
+        for ix in range(ncols - 1):
+            v = (im_grid[iy, ix], im_grid[iy, ix + 1],
+                 im_grid[iy + 1, ix + 1], im_grid[iy + 1, ix])
+            sgn = tuple(x > 0.0 for x in v)
+            if all(sgn) or not any(sgn):
+                continue
+            corners = ((xs[ix], ys[iy]), (xs[ix + 1], ys[iy]),
+                       (xs[ix + 1], ys[iy + 1]), (xs[ix], ys[iy + 1]))
+            rvals = (re_grid[iy, ix], re_grid[iy, ix + 1],
+                     re_grid[iy + 1, ix + 1], re_grid[iy + 1, ix])
+            edges = (
+                (("h", iy, ix), 0, 1),
+                (("v", iy, ix + 1), 1, 2),
+                (("h", iy + 1, ix), 3, 2),
+                (("v", iy, ix), 0, 3),
+            )
+            crossings = [(key, interp(v[a], v[b], corners[a], corners[b],
+                                      rvals[a], rvals[b]))
+                         for key, a, b in edges if sgn[a] != sgn[b]]
+            if len(crossings) == 2:
+                segments.append((crossings[0], crossings[1]))
+            elif len(crossings) == 4:
+                center = 0.25 * sum(v)
+                if (center > 0.0) == sgn[0]:
+                    segments.append((crossings[0], crossings[3]))
+                    segments.append((crossings[1], crossings[2]))
+                else:
+                    segments.append((crossings[0], crossings[1]))
+                    segments.append((crossings[2], crossings[3]))
+    return segments
+
+
+def as_floats(segments):
+    return [tuple((key, tuple(float(c) for c in pt)) for key, pt in seg)
+            for seg in segments]
 
 
 class TestClassifySpectrum:
@@ -193,6 +243,52 @@ class TestStabilityRegion:
             d = np.min(np.abs(arr[:, 0] - x) + np.abs(arr[:, 1] + y))
             assert d < 4 * cell
 
+    def test_wide_window_splits_panels(self, lame_spec, monkeypatch):
+        # |Delta| reaches 5e13 at E = 1000, so one panel's relative accuracy
+        # does not resolve the arcs near E = 0; the panels split along Re.
+        # The arcs must cover the closed-form Lame bands (-inf, -e1], [0, e1]
+        # at the grid spacing, and stay on the real axis.
+        guards = []
+        original = spectrum._cheb_eval
+
+        def spy(c, tx, ty):
+            guards.append(tx is spectrum._GUARD_T)
+            return original(c, tx, ty)
+
+        monkeypatch.setattr(spectrum, "_cheb_eval", spy)
+        re0, re1, res = -30.0, 1000.0, 256
+        arcs = stability_region(lame_spec, (re0, re1, -2.0, 2.0), res)
+        assert sum(guards) >= 3 and guards.count(False) >= 2
+        pts = np.array([(p[0], p[1]) for poly in arcs.polylines for p in poly])
+        assert len(pts) and np.abs(pts[:, 1]).max() <= arcs.arc_tol
+        e1 = invariants(lame_spec.torus).e1.real
+        h = (re1 - re0) / (res - 1)
+        bands = [(re0, -e1), (0.0, e1)]
+        assert all(any(lo - h <= x <= hi + h for lo, hi in bands) for x in pts[:, 0])
+        xs = np.linspace(re0, re1, res)
+        for lo, hi in bands:
+            for col in xs[(xs >= lo + h) & (xs <= hi - h)]:
+                assert np.abs(pts[:, 0] - col).min() <= 0.5 * h
+
+    def test_node_cap_raises(self, lame_spec, monkeypatch):
+        # the window works with the default cap; below one 16 x 16 round the
+        # proxy must refuse rather than return an unchecked grid
+        monkeypatch.setattr(spectrum, "_PROXY_MAX_NODES", 200)
+        with pytest.raises(ResolutionError):
+            stability_region(lame_spec, (-10.0, 10.0, -1.0, 1.0), 128)
+
+    def test_guard_alone_keeps_answers(self, lame_spec, monkeypatch):
+        # with the degree test disabled every panel stops at 16 x 16 nodes;
+        # the off-node check then splits panels until the proxy holds, and
+        # the arcs match the converged run
+        window = (-15.0, 15.0, -3.0, 3.0)
+        want = stability_region(lame_spec, window, 128)
+        monkeypatch.setattr(spectrum, "_PROXY_TAIL", 1.0)
+        got = stability_region(lame_spec, window, 128)
+        a = np.array([p for poly in want.polylines for p in poly])
+        b = np.array([p for poly in got.polylines for p in poly])
+        assert a.shape == b.shape and np.abs(a - b).max() <= 1e-6
+
     def test_resolution_cap(self, lame_spec):
         with pytest.raises(ValueError):
             stability_region(lame_spec, (-1, 1, -1, 1), 4096)
@@ -202,6 +298,53 @@ class TestStabilityRegion:
         # 0 used to divide by zero and 1 to return an empty ArcSet
         with pytest.raises(ValueError):
             stability_region(lame_spec, (-1, 1, -1, 1), resolution)
+
+    def test_window_must_be_finite(self, lame_spec):
+        with pytest.raises(ValueError):
+            stability_region(lame_spec, (-1.0, math.nan, -1.0, 1.0), 8)
+
+
+class TestMarchingSegments:
+    XS = np.array([0.0, 1.0, 2.0])
+    YS = np.array([0.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("middle,saddle", [
+        # corner mean +0.25 has the sign of the lower-left corner: the
+        # segments cut off the bottom-left and top-right corners
+        (2.0, [(("h", 0, 0), ("v", 0, 0)), (("v", 0, 1), ("h", 1, 0))]),
+        # corner mean -0.125: they cut off the bottom-right and top-left
+        (0.5, [(("h", 0, 0), ("v", 0, 1)), (("h", 1, 0), ("v", 0, 0))]),
+    ])
+    def test_saddle_cell(self, middle, saddle):
+        im = np.array([[1.0, -1.0, -2.0],
+                       [-1.0, middle, -3.0],
+                       [-2.0, -3.0, -4.0]])
+        re = self.XS[None, :] + 10.0 * self.YS[:, None]
+        segs = _marching_segments(self.XS, self.YS, im, re)
+        assert [(a[0], b[0]) for a, b in segs] == saddle + [
+            (("h", 1, 1), ("v", 0, 1)),
+            (("h", 1, 0), ("v", 1, 1)),
+            (("h", 1, 1), ("v", 1, 1)),
+        ]
+        points = {key: pt for seg in segs for key, pt in seg}
+        assert points[("h", 0, 0)] == (0.5, 0.0, 0.5)
+        assert points[("v", 0, 0)] == (0.0, 0.5, 5.0)
+        assert as_floats(segs) == as_floats(
+            marching_segments_loop(self.XS, self.YS, im, re))
+
+    def test_matches_cell_loop(self):
+        # same segments, order and interpolated points as the per-cell loop,
+        # on grids with saddles, exact zeros and a reversed axis
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            ny, nx = rng.integers(2, 10, size=2)
+            xs = np.linspace(rng.normal(), rng.normal() + 3.0, nx)
+            ys = np.linspace(1.0, -1.0, ny)
+            im = rng.normal(size=(ny, nx))
+            im[rng.random((ny, nx)) < 0.2] = 0.0
+            re = rng.normal(size=(ny, nx))
+            assert as_floats(_marching_segments(xs, ys, im, re)) == as_floats(
+                marching_segments_loop(xs, ys, im, re))
 
 
 class TestVerifyTheorems:
