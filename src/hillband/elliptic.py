@@ -110,16 +110,17 @@ def wp(z, torus: TorusParam):
     q = torus.nome**2
     k = np.arange(1, torus.series_terms + 1)
     qk = q**k
-    coef = k * qk / (1.0 - qk)
+    coef = k / (1.0 - qk)
     s = np.sin(math.pi * zr)
-    out = math.pi**2 / s**2 - math.pi**2 / 3.0
-    ang = 2.0 * math.pi * np.multiply.outer(k, zr)
-    out = out - 8.0 * math.pi**2 * np.tensordot(coef, np.cos(ang) - 1.0, axes=(0, 0))
+    out = (math.pi / s) ** 2 - math.pi**2 / 3.0
+    # q^k cos(2 pi k z) = (e^{2 pi i k (tau+z)} + e^{2 pi i k (tau-z)})/2: bounded at large Im tau
+    up, down = (np.exp(2j * math.pi * np.multiply.outer(k, torus.tau + sg * zr)) for sg in (1, -1))
+    out = out - 8.0 * math.pi**2 * np.tensordot(coef, 0.5 * (up + down) - qk[:, None], axes=(0, 0))
     return complex(out[0]) if scalar else out
 
 
 def wp_prime(z, torus: TorusParam):
-    """Derivative wp'(z; tau); same reduction, guard, and truncation as wp."""
+    """Derivative wp'(z; tau); same reduction, guard, truncation and exponentials as wp."""
     zr = _reduce(np.asarray(z, dtype=complex), torus.tau)
     scalar = zr.ndim == 0
     zr = np.atleast_1d(zr)
@@ -128,11 +129,11 @@ def wp_prime(z, torus: TorusParam):
     q = torus.nome**2
     k = np.arange(1, torus.series_terms + 1)
     qk = q**k
-    coef = k * k * qk / (1.0 - qk)
+    coef = k * k / (1.0 - qk)
     s = np.sin(math.pi * zr)
-    out = -2.0 * math.pi**3 * np.cos(math.pi * zr) / s**3
-    ang = 2.0 * math.pi * np.multiply.outer(k, zr)
-    out = out + 16.0 * math.pi**3 * np.tensordot(coef, np.sin(ang), axes=(0, 0))
+    out = -2.0 * math.pi * (np.cos(math.pi * zr) / s) * (math.pi / s) ** 2
+    up, down = (np.exp(2j * math.pi * np.multiply.outer(k, torus.tau + sg * zr)) for sg in (1, -1))
+    out = out + 16.0 * math.pi**3 * np.tensordot(coef, (up - down) / 2j, axes=(0, 0))
     return complex(out[0]) if scalar else out
 
 

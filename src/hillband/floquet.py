@@ -2,11 +2,12 @@
 
 The fundamental pair (c, s) of y'' + q(x) y = E y with c(0) = s'(0) = 1,
 c'(0) = s(0) = 0 is transported across one period [0, 1] by an adaptive
-embedded Runge-Kutta 7(8) (Fehlberg's 13-stage pair).  The integrator is
-batched: a whole vector of E values advances in lockstep with a shared
-adaptive step.  Large E grids (stability regions) are not transported point
-by point: spectrum.stability_region fits a guarded Chebyshev proxy of Delta
-to a few hundred adaptive samples and evaluates the grid from it.
+embedded Runge-Kutta 7(8) (Fehlberg's 13-stage pair), batched: a vector of
+E values advances in lockstep with a shared step.  Each stage potential is
+the sum of the closed-form Fourier modes of q on the sampling line (the
+modes Hill's method below reads), never a wp series.  Large E grids are not
+transported point by point: spectrum.stability_region fits a guarded
+Chebyshev proxy of Delta to a few hundred adaptive samples.
 
 Real solutions of Delta = +-2 are not searched for on Delta: they are the
 real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import (
     TransportOverflow,
 )
 from .kdv_spectral import _line_modes, _mode_cutoff
-from .potential import PotentialSpec, evaluate_potential
+from .potential import PotentialSpec
 
 __all__ = [
     "IntegratorSettings",
@@ -89,6 +90,7 @@ _ERR_WEIGHT = 41.0 / 840.0  # error = h * w * (k0 + k10 - k11 - k12)
 _NSTAGES = 13
 
 _CLUSTER_TOL = 1e-6  # relative spread of Hill eigenvalues forming one hit
+_MAX_LINE_MODES = 2**15  # ceiling on the transport's potential mode cutoff
 
 
 @dataclass(frozen=True)
@@ -147,13 +149,20 @@ class EigenvalueHit:
     residual: float  # |Delta(E) - parity| as measured
 
 
-def _line_potential(spec: PotentialSpec) -> Callable[[np.ndarray], np.ndarray]:
-    z0 = spec.z0
-
-    def q(x: np.ndarray) -> np.ndarray:
-        return evaluate_potential(spec, z0 + x)
-
-    return q
+def _line_potential(spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Fourier modes (2 pi i k, q_hat_k), |k| <= K, of q on the sampling line,
+    K doubled from the Hill cutoff while an end mode exceeds 1e-16 of the largest."""
+    K = _mode_cutoff(spec, 0)
+    while True:
+        q = _line_modes(spec, K)
+        if not np.isfinite(q).all():
+            raise TransportOverflow("Fourier modes of the potential are not finite")
+        if max(abs(q[0]), abs(q[-1])) <= 1e-16 * np.abs(q).max():
+            return 2j * math.pi * np.arange(-K, K + 1), q.astype(complex)
+        K *= 2
+        if K > _MAX_LINE_MODES:
+            raise ResolutionError(f"potential modes do not decay to 1e-16 by cutoff "
+                                  f"{K // 2} (pole too close to the sampling line)")
 
 
 def _rk_step(qs: np.ndarray, x: float, h: float, y: np.ndarray,
@@ -196,8 +205,8 @@ def _rk_step(qs: np.ndarray, x: float, h: float, y: np.ndarray,
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _transport(qfun, E: np.ndarray, settings: IntegratorSettings,
-               variational: bool) -> np.ndarray:
+def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
+               settings: IntegratorSettings, variational: bool) -> np.ndarray:
     """Adaptive transport of the fundamental system from x=0 to x=1.
 
     Returns the final state, shape (4, K) or (8, K) with rows
@@ -223,7 +232,7 @@ def _transport(qfun, E: np.ndarray, settings: IntegratorSettings,
         if nsteps >= settings.max_steps:
             raise StepLimitExceeded(f"exceeded {settings.max_steps} steps at x={x:.6f}")
         h = min(h, 1.0 - x)
-        qs = qfun(x + _C * h)
+        qs = np.exp(np.multiply.outer(x + _C * h, ik)) @ q_hat
         y_new, err = _rk_step(qs, x, h, y, E, variational)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
         ratio = np.abs(err) / scale
@@ -239,10 +248,8 @@ def _transport(qfun, E: np.ndarray, settings: IntegratorSettings,
         h *= factor
         if h < 1e-13:
             if not math.isfinite(norm):
-                what = ("fundamental solutions overflow" if np.isfinite(qs).all()
-                        else "potential on the sampling line overflows")
                 raise TransportOverflow(
-                    f"{what} double precision at x={x:.6f} "
+                    f"fundamental solutions overflow double precision at x={x:.6f} "
                     f"(|E| up to {float(np.abs(E).max()):.3g})")
             raise TolFailure("step size underflow in adaptive transport")
     return y
@@ -274,7 +281,7 @@ def monodromy_batch(spec: PotentialSpec, E, settings: Optional[IntegratorSetting
                     variational: bool = False) -> np.ndarray:
     """Final fundamental-system states for a vector of E values."""
     settings = settings or DEFAULT_SETTINGS
-    return _transport(_line_potential(spec), E, settings, variational)
+    return _transport(*_line_potential(spec), E, settings, variational)
 
 
 def monodromy(spec: PotentialSpec, E: complex,

@@ -266,14 +266,15 @@ def _line_modes(spec: PotentialSpec, k_cut: int) -> np.ndarray:
         return np.exp(mm * base.astype(_CLD))
 
     if spec.mode == TRIG_LIMIT:
+        flip = spec.z0.imag < 0.0  # q is even: expand q(-z0 - x), then reverse
         out[k_cut] = _LD(trig_constant(spec.n))
         for weight, shift in ((spec.n.n0 * (spec.n.n0 + 1), 0.0),
                               (spec.n.n1 * (spec.n.n1 + 1), 0.5)):
             if weight == 0:
                 continue
-            es = expi(spec.z0 + shift, m)
+            es = expi((-spec.z0 if flip else spec.z0) + shift, m)
             out[k_cut + 1:] += weight * 4.0 * pi2 * m * es
-        return out
+        return out[::-1] if flip else out
 
     tau = spec.torus.tau
     b = tau.imag
@@ -286,11 +287,11 @@ def _line_modes(spec: PotentialSpec, k_cut: int) -> np.ndarray:
         s = spec.z0 + half[k]
         s = s - math.floor(s.imag / b) * tau
         es_p = expi(s, m)
-        es_m = expi(-s, m)
+        es_m = expi(tau - s, m)  # q^m exp(-2 pi i m s), bounded at large Im tau
         # -w * wp(s + x)
         out[k_cut] += w * (pi2 / 3.0 - 8.0 * pi2 * np.sum(m * qm / (1.0 - qm)))
         out[k_cut + 1:] += w * 4.0 * pi2 * m * es_p / (1.0 - qm)
-        out[:k_cut] += (w * 4.0 * pi2 * m * qm * es_m / (1.0 - qm))[::-1]
+        out[:k_cut] += (w * 4.0 * pi2 * m * es_m / (1.0 - qm))[::-1]
     return out
 
 

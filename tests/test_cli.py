@@ -255,6 +255,35 @@ class TestOverflow:
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+class TestLargeTau:
+    @pytest.mark.parametrize("tau", ["40", "200"])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--n", "1,0,0,0"],
+        ["disc", "--n", "2,1,1,0", "--E", "3,0"],
+        ["verify", "--n", "2,1,1,0"],
+    ])
+    def test_answers_or_typed_error(self, argv, tau):
+        # q^k underflows while cos(2 pi k z) overflows at large Im tau; every
+        # command answers or names its failure, with no float warning
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import hillband
+
+        src = str(Path(hillband.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-m", "hillband.cli", *argv, "--tau", tau],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode in (0, 2)
+        if argv[0] != "verify":
+            assert proc.returncode == 0 and proc.stdout
+        if proc.returncode == 2:
+            assert proc.stderr.startswith("numeric failure:")
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestBoundaryValidation:
     @pytest.mark.parametrize("argv", [
         ["qpoly", "--n", "1,0,0,0", "--tau", "nan"],

@@ -123,6 +123,20 @@ class TestFunctionalIdentities:
                 z = x + 1j * y
                 assert np.max(np.abs(wp(z, t) - np.array([wp_trig(v) for v in z]))) < 1e-5
 
+    def test_large_b_series_bounded(self):
+        # at tau = 40i the lattice corrections are below double precision, so
+        # wp is its trig limit; q^k underflows and cos(2 pi k z) overflows
+        # there unless each product is formed as one exponential
+        t = TorusParam.from_tau(40j)
+        z = np.array([0.3, 0.1 + 0.3j, 0.37 - 2.0j, 0.25 + 19.8j, 0.5 - 20.0j])
+        trig = math.pi**2 / np.sin(math.pi * z) ** 2 - math.pi**2 / 3.0
+        trig_prime = -2.0 * math.pi**3 * np.cos(math.pi * z) / np.sin(math.pi * z) ** 3
+        assert np.max(np.abs(wp(z, t) - trig) / np.abs(trig)) < 1e-14
+        assert np.max(np.abs(wp_prime(z, t) - trig_prime)) < 1e-13
+        inv = invariants(t)
+        assert abs(inv.e2 + math.pi**2 / 3.0) < 1e-14
+        assert abs(inv.e3 + math.pi**2 / 3.0) < 1e-14
+
     def test_trig_limit_shifted_half_periods(self):
         # wp(z + w_k/2) -> -pi^2/3 for k = 2, 3 uniformly on fixed compact
         # strips; the deviation is ~4 pi^2 exp(-2 pi d) with d the distance

@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hillband import floquet
-from hillband.errors import HillbandError, NotAnEigenvalue, StepLimitExceeded
+from hillband.errors import (
+    HillbandError,
+    NotAnEigenvalue,
+    ResolutionError,
+    StepLimitExceeded,
+    TransportOverflow,
+)
 from hillband.floquet import (
     IntegratorSettings,
     discriminant,
@@ -17,7 +25,7 @@ from hillband.floquet import (
     periodic_eigenvalues_on_interval,
 )
 from hillband.elliptic import invariants
-from hillband.potential import MultiplicityVector, PotentialSpec
+from hillband.potential import MultiplicityVector, PotentialSpec, evaluate_potential
 
 from oracles import delta_constant, monodromy_scipy
 
@@ -104,6 +112,73 @@ class TestMonodromy:
         settings = IntegratorSettings(max_steps=1000)
         with pytest.raises(StepLimitExceeded):
             discriminant(const_spec, -1e8, settings)
+
+
+class TestLinePotential:
+    """The transport reads q from the closed-form modes of the sampling line."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ns=st.tuples(*[st.integers(0, 3)] * 4).filter(lambda t: max(t) >= 1),
+           b=st.floats(0.3, 3.0), re_z0=st.floats(0.0, 1.0),
+           im_frac=st.floats(0.05, 0.45))
+    def test_stage_potential_matches_wp(self, monkeypatch, ns, b, re_z0, im_frac):
+        # every stage potential of an adaptive transport against the nome
+        # series of evaluate_potential, which the transport no longer calls
+        spec = PotentialSpec.elliptic(mv(*ns), 1j * b, complex(re_z0, im_frac * b))
+        seen = []
+        rk_step = floquet._rk_step
+
+        def recording(qs, x, h, *rest):
+            seen.append((x + floquet._C * h, qs))
+            return rk_step(qs, x, h, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(floquet, "_rk_step", recording)
+            discriminant(spec, 1.0, IntegratorSettings(rel_tol=1e-6))
+        x = np.concatenate([xs for xs, _ in seen])
+        got = np.concatenate([qs for _, qs in seen])
+        want = evaluate_potential(spec, spec.z0 + x)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_trig_line_below_axis(self):
+        # the trig-limit potential is even, so below the real axis its modes
+        # are those of q(-z0 - x) reversed; Delta does not depend on the line
+        above = PotentialSpec.trig_limit(mv(1, 1, 0, 0), z0=0.25j)
+        below = PotentialSpec.trig_limit(mv(1, 1, 0, 0), z0=0.3 - 0.25j)
+        for e_val in (3.0, -20.0 + 1.0j):
+            ref = monodromy_scipy(above, e_val)
+            assert abs(discriminant(below, e_val) - ref) < 1e-8 * max(1.0, abs(ref))
+            assert abs(discriminant(above, e_val) - ref) < 1e-8 * max(1.0, abs(ref))
+
+    def test_near_pole_line_doubles_modes(self, lame_spec):
+        # z0 = 0.3 + 0.002i passes 0.002 from the pole at 0: the modes decay
+        # like exp(-2 pi k 0.002), so the cutoff must double several times
+        near = PotentialSpec.elliptic(mv(1, 0, 0, 0), 1j, z0=0.3 + 0.002j)
+        ik, _ = floquet._line_potential(near)
+        assert ik.size > 8 * (2 * floquet._mode_cutoff(near, 0) + 1)
+        # Delta does not depend on z0; this close to a pole the adaptive
+        # transport carries ~5e-7 of noise at the default tolerance
+        for e_val in (3.0, -5.0):
+            assert abs(discriminant(near, e_val) - discriminant(lame_spec, e_val)) < 1e-6
+
+    def test_mode_ceiling_raises(self, monkeypatch):
+        near = PotentialSpec.elliptic(mv(1, 0, 0, 0), 1j, z0=0.3 + 0.002j)
+        monkeypatch.setattr(floquet, "_MAX_LINE_MODES", 256)
+        with pytest.raises(ResolutionError):
+            discriminant(near, 3.0)
+
+    def test_non_finite_modes_raise_at_once(self, lame_spec, monkeypatch):
+        calls = []
+
+        def broken(spec, k_cut):
+            calls.append(k_cut)
+            return np.full(2 * k_cut + 1, np.nan, dtype=complex)
+
+        monkeypatch.setattr(floquet, "_line_modes", broken)
+        with pytest.raises(TransportOverflow):
+            discriminant(lame_spec, 3.0)
+        assert len(calls) == 1
 
 
 class TestDerivative:
