@@ -230,8 +230,7 @@ def _cmd_arcs(args) -> int:
             "window": list(window),
             "resolution": arcs.resolution,
             "arc_tol": arcs.arc_tol,
-            "polylines": [[[p[0], p[1], p[2]] for p in poly]
-                          for poly in arcs.polylines],
+            "polylines": [poly.tolist() for poly in arcs.polylines],
         }
         _emit(args, ser.dumps(out) + "\n")
     else:

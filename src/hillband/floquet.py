@@ -6,8 +6,8 @@ embedded Runge-Kutta 7(8) (Fehlberg's 13-stage pair), batched: a vector of
 E values advances in lockstep with a shared step.  Each stage potential is
 the sum of the closed-form Fourier modes of q on the sampling line (the
 modes Hill's method below reads), never a wp series.  Large E grids are not
-transported point by point: spectrum.stability_region fits a guarded
-Chebyshev proxy of Delta to a few hundred adaptive samples.
+transported point by point: spectrum.stability_region reads every arc point
+from a guarded Chebyshev proxy of Delta fit to a few hundred adaptive samples.
 
 Real solutions of Delta = +-2 are not searched for on Delta: they are the
 real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
@@ -93,6 +93,11 @@ _CLUSTER_TOL = 1e-6  # relative spread of Hill eigenvalues forming one hit
 _MAX_LINE_MODES = 2**15  # ceiling on the transport's potential mode cutoff
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; False for bools, floats and strings."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class IntegratorSettings:
     rel_tol: float = 1e-12
@@ -105,9 +110,7 @@ class IntegratorSettings:
                              "it is not resolvable in doubles)")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
             raise ValueError("abs_tol must be finite and > 0")
-        if (isinstance(self.max_steps, bool)
-                or not isinstance(self.max_steps, numbers.Integral)
-                or self.max_steps < 10**3):
+        if not _is_integer(self.max_steps) or self.max_steps < 10**3:
             raise ValueError("max_steps must be an integer >= 1000")
 
     def halved(self) -> "IntegratorSettings":
@@ -446,13 +449,16 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
             f"Hill truncations K = {K} and {2 * K} disagree on [{a}, {b}] "
             f"({len(coarse)} vs {len(fine)} eigenvalue clusters)")
 
-    found = [c for c in coarse if a <= c[0] <= b]
-    if not found:
-        return []
-    E0 = np.array([c[0] for c in found])
-    target = np.array([float(c[1]) for c in found])
-    order = np.array([c[2] for c in found])
+    # Hill's rounding varies with the BLAS thread count: a solution on an end
+    # of [a, b] is taken or dropped on its polished value, not its candidate
+    slack = 1e-9 * (1.0 + reach)
+    E0, target, order = np.array(
+        [c for c in coarse if a - slack <= c[0] <= b + slack]).reshape(-1, 3).T
     E = _polish(spec, E0, target, order >= 2, settings)[0]
+    inside = (a <= E) & (E <= b)
+    if not inside.any():
+        return []
+    E, target, order = E[inside], target[inside], order[inside]
     residual = np.abs(discriminant_batch(spec, E, settings).real - target)
     worst = int(np.argmax(residual))
     if residual[worst] > 1e-6:

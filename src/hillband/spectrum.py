@@ -7,7 +7,8 @@ the shared batched polisher floquet._polish), Hill's method finds the interior
 (anti)periodic eigenvalues of each bounded band interval (E_{2j-1}, E_{2j-2})
 and the discriminant certifies them, and a marching-squares pass over
 Im Delta = 0, on a guarded Chebyshev proxy of Delta, recovers the
-conditional stability set as polylines in the complex E plane.
+conditional stability set as polylines in the complex E plane; their points
+are polished and kept on the same proxy, so Delta is read once per window.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebder, chebgrid2d, chebpts1, chebval2d, chebvander
 
 from .errors import BandStructureMissing, HillbandError, ResolutionError
 from .floquet import (
     DEFAULT_SETTINGS,
     EigenvalueHit,
     IntegratorSettings,
+    _is_integer,
     _polish,
     discriminant_batch,
     periodic_eigenvalues_on_interval,
@@ -131,11 +134,11 @@ class GapReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArcSet:
     """Polylines tracing Delta^-1([-2, 2]) inside a window."""
 
-    polylines: tuple[tuple[tuple[float, float, float], ...], ...]  # (re, im, re_delta)
+    polylines: tuple[np.ndarray, ...]  # read-only (n, 3): re E, im E, re Delta
     window: tuple[float, float, float, float]
     resolution: int
     arc_tol: float
@@ -144,11 +147,7 @@ class ArcSet:
         return sum(len(p) for p in self.polylines)
 
     def to_csv_rows(self) -> list[tuple[int, float, float, float]]:
-        rows = []
-        for i, poly in enumerate(self.polylines):
-            for re, im, rd in poly:
-                rows.append((i, re, im, rd))
-        return rows
+        return [(i, *p) for i, poly in enumerate(self.polylines) for p in poly.tolist()]
 
 
 def _resolve_ambiguous_pairs(spec, roots, settings):
@@ -428,34 +427,20 @@ _PROXY_MAX_NODES = 1 << 16  # nodes per window, also at most max(res, 16)^2
 _GUARD_T = np.array([-1.0, -0.83, -0.41, 0.07, 0.56, 0.92, 1.0])
 
 
-def _cheb_basis(t: np.ndarray, n: int) -> np.ndarray:
-    """T_0 .. T_{n-1} at the points t by the three-term recurrence, (t.size, n)."""
-    v = np.empty((n, t.size))
-    v[0] = 1.0
-    if n > 1:
-        v[1] = t
-    for k in range(2, n):
-        v[k] = 2.0 * t * v[k - 1] - v[k - 2]
-    return v.T
-
-
-def _cheb_points(n: int) -> np.ndarray:
-    """First-kind Chebyshev points on [-1, 1]."""
-    return np.cos(np.pi * (np.arange(n) + 0.5) / n)
-
-
 def _affine(lo: float, hi: float) -> tuple[float, float]:
     """Centre and half-width of [lo, hi]; a zero width maps [lo - 1, lo + 1]."""
     return 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
 
 
-def _cheb_eval(c: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
-    """sum c[j, k] T_j(ty) T_k(tx) on the tensor grid ty x tx."""
-    return _cheb_basis(ty, c.shape[0]) @ c @ _cheb_basis(tx, c.shape[1]).T
+def _cheb_weights(n: int) -> np.ndarray:
+    """Map from values at n first-kind Chebyshev points to coefficients."""
+    w = (2.0 / n) * chebvander(chebpts1(n), n - 1).T
+    w[0] *= 0.5
+    return w
 
 
 def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
-                 settings: IntegratorSettings) -> np.ndarray:
+                 settings: IntegratorSettings):
     """Delta on the grid xs + i ys from guarded tensor Chebyshev fits.
 
     Delta is entire in E, so its tensor Chebyshev series on a rectangle
@@ -472,6 +457,9 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
     points (or than one first round, 16^2, on grids coarser than that), or
     more than 2^16, raises ResolutionError: no unchecked proxy reaches the
     grid.
+
+    Returns the grid and E -> (Delta, dDelta/dE) at scattered points of the
+    window on the same panels (dDelta/dE is the series' d/d(Im E) over i).
     """
     lo, hi = sorted((float(xs[0]), float(xs[-1])))
     ylo, yhi = sorted((float(ys[0]), float(ys[-1])))
@@ -483,11 +471,6 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
         mid, half = _affine(a, b)
         return ((mid + half * tx)[None, :] + 1j * (ymid + yhalf * ty)[:, None]).ravel()
 
-    def weights(n):
-        w = (2.0 / n) * _cheb_basis(_cheb_points(n), n).T
-        w[0] *= 0.5
-        return w
-
     pending = [(lo, hi, _PROXY_START, _PROXY_START)]
     fits = []  # (lo, hi, coefficients)
     used = 0
@@ -498,14 +481,14 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
                 f"Delta proxy needs more than {cap} Chebyshev nodes on "
                 f"[{lo}, {hi}] x [{ylo}, {yhi}]")
         vals = discriminant_batch(spec, np.concatenate(
-            [tensor(a, b, _cheb_points(nx), _cheb_points(ny))
+            [tensor(a, b, chebpts1(nx), chebpts1(ny))
              for a, b, nx, ny in pending]), settings)
         refine, fitted = [], []
         start = 0
         for a, b, nx, ny in pending:
             f = vals[start:start + nx * ny].reshape(ny, nx)
             start += nx * ny
-            c = weights(ny) @ f @ weights(nx).T
+            c = _cheb_weights(ny) @ f @ _cheb_weights(nx).T
             floor = _PROXY_TAIL * np.abs(c).max()
             grow_x = np.abs(c[:, -3:]).max() > floor
             grow_y = np.abs(c[-3:]).max() > floor
@@ -519,7 +502,7 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
                 [tensor(a, b, _GUARD_T, _GUARD_T) for a, b, _ in fitted]),
                 settings).reshape(len(fitted), _GUARD_T.size, _GUARD_T.size)
             for (a, b, c), d in zip(fitted, direct):
-                proxy = _cheb_eval(c, _GUARD_T, _GUARD_T)
+                proxy = chebgrid2d(_GUARD_T, _GUARD_T, c)
                 if np.all(np.abs(proxy - d) <= _PROXY_GUARD * np.maximum(1.0, np.abs(d))):
                     fits.append((a, b, c))
                 else:
@@ -529,14 +512,26 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
         pending = refine
 
     fits.sort(key=lambda fit: fit[0])
-    owner = np.searchsorted([a for a, _, _ in fits[1:]], xs, side="right")
-    ty = (ys - ymid) / yhalf
+    starts = [a for a, _, _ in fits[1:]]
     grid = np.empty((ys.size, xs.size), dtype=complex)
+    owner = np.searchsorted(starts, xs, side="right")
     for p, (a, b, c) in enumerate(fits):
         cols = owner == p
         mid, half = _affine(a, b)
-        grid[:, cols] = _cheb_eval(c, (xs[cols] - mid) / half, ty)
-    return grid
+        grid[:, cols] = chebgrid2d((ys - ymid) / yhalf, (xs[cols] - mid) / half, c)
+
+    def evaluate(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        val, der = np.empty_like(E), np.empty_like(E)
+        owner = np.searchsorted(starts, E.real, side="right")
+        for p, (a, b, c) in enumerate(fits):
+            sel = owner == p
+            mid, half = _affine(a, b)
+            tx, ty = (E.real[sel] - mid) / half, (E.imag[sel] - ymid) / yhalf
+            val[sel] = chebval2d(ty, tx, c)
+            der[sel] = chebval2d(ty, tx, chebder(c, axis=0)) / (1j * yhalf)
+        return val, der
+
+    return grid, evaluate
 
 
 def _chain_polylines(segments, keep):
@@ -586,20 +581,22 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
                      settings: Optional[IntegratorSettings] = None) -> ArcSet:
     """Conditional stability set Delta^-1([-2, 2]) inside a window.
 
-    Delta on the resolution^2 grid comes from a guarded tensor Chebyshev
-    proxy (see _delta_proxy): adaptive Delta samples at Chebyshev nodes,
-    checked against direct Delta off the nodes, on panels split along Re
-    until every check holds.  The Im Delta = 0 level set of the grid is
-    extracted by marching squares, and every crossing point is
-    Newton-polished in the vertical direction on direct Delta and kept when
-    its polished Delta value lies within arc_tol * max(1, |Delta|) of the
-    real interval [-2, 2].  Near tangential touch points (Delta' = 0 on the
-    real axis) the set legitimately grows short vertical whiskers where
-    Delta is real and barely outside [-2, 2]; they satisfy the same
-    tolerance and are reported as arc points.
+    Delta comes from a guarded tensor Chebyshev proxy (see _delta_proxy):
+    adaptive Delta samples at Chebyshev nodes, checked against direct Delta
+    off the nodes, on panels split along Re until every check holds.  The
+    Im Delta = 0 level set of the resolution^2 grid is extracted by marching
+    squares; every crossing point is Newton-polished in the vertical
+    direction on the proxy, with Im E kept inside the window where the proxy
+    is certified, and kept when its polished Delta value lies within
+    arc_tol * max(1, |Delta|) of the real interval [-2, 2].  Near tangential
+    touch points (Delta' = 0 on the real axis) the set legitimately grows
+    short vertical whiskers where Delta is real and barely outside [-2, 2];
+    they satisfy the same tolerance and are reported as arc points.
     """
-    if not 2 <= resolution <= 2048:
-        raise ValueError("resolution must lie in [2, 2048] per side")
+    if not _is_integer(resolution) or not 2 <= resolution <= 2048:
+        raise ValueError("resolution must be an integer in [2, 2048] per side")
+    if len(window) != 4:
+        raise ValueError("window must be (re0, re1, im0, im1)")
     if not np.all(np.isfinite(window)):
         raise ValueError("window bounds must be finite")
     settings = settings or DEFAULT_SETTINGS
@@ -609,42 +606,37 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
     polish_settings = IntegratorSettings(rel_tol=min(settings.rel_tol, 1e-10),
                                          abs_tol=1e-13,
                                          max_steps=settings.max_steps)
-    delta_grid = _delta_proxy(spec, xs, ys, polish_settings)
+    delta_grid, delta = _delta_proxy(spec, xs, ys, polish_settings)
 
     segments = _marching_segments(xs, ys, delta_grid.imag, delta_grid.real)
 
-    # polish unique crossing points vertically toward Im Delta = 0
-    points: dict = {}
-    for (ka, pa), (kb, pb) in segments:
-        points.setdefault(ka, pa)
-        points.setdefault(kb, pb)
-    keys = sorted(points.keys())
-    if not keys:
-        return ArcSet(polylines=(), window=window, resolution=resolution,
-                      arc_tol=1e-3)
-    ee = np.array([points[k][0] + 1j * points[k][1] for k in keys])
+    # polish unique crossing points vertically toward Im Delta = 0 (an edge
+    # shared by two cells has the same point in both)
+    points = dict(end for segment in segments for end in segment)
+    keys = sorted(points)
+    ee = np.array([points[k][0] + 1j * points[k][1] for k in keys], dtype=complex)
+    cell = abs(ys[1] - ys[0])
     for _ in range(3):
-        dval, dder = discriminant_batch(spec, ee, polish_settings,
-                                        derivative=True)
+        dval, dder = delta(ee)
         denom = dder.real
         step = np.where(np.abs(denom) > 1e-9, dval.imag / denom, 0.0)
-        cell = abs(ys[1] - ys[0])
         step = np.clip(step, -2 * cell, 2 * cell)
-        ee = ee - 1j * step
-    dval = discriminant_batch(spec, ee, polish_settings)
+        ee = ee.real + 1j * np.clip(ee.imag - step, min(im0, im1), max(im0, im1))
+    dval, _ = delta(ee)
 
     arc_tol = 1e-3
     scale = np.maximum(1.0, np.abs(dval))
     dist = np.where(np.abs(dval.real) <= 2.0, np.abs(dval.imag),
                     np.abs(dval - np.sign(dval.real) * 2.0))
-    keep_arr = dist <= arc_tol * scale
-    keep = {k: bool(keep_arr[i]) for i, k in enumerate(keys)}
-    polished = {k: (float(ee[i].real), float(ee[i].imag), float(dval[i].real))
-                for i, k in enumerate(keys)}
+    keep = dict(zip(keys, (dist <= arc_tol * scale).tolist()))
+    row = {k: i for i, k in enumerate(keys)}
+    polished = np.column_stack([ee.real, ee.imag, dval.real])
 
-    chains = _chain_polylines(segments, keep)
-    polylines = tuple(tuple(polished[k] for k in chain) for chain in chains
-                      if len(chain) >= 2)
+    # every chain joins at least one segment, so it has two points or more
+    polylines = tuple(polished[[row[k] for k in chain]]
+                      for chain in _chain_polylines(segments, keep))
+    for line in polylines:
+        line.flags.writeable = False
     return ArcSet(polylines=polylines, window=window, resolution=resolution,
                   arc_tol=arc_tol)
 

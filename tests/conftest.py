@@ -1,5 +1,12 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread: the tests solve many small eigenproblems (Hill's method),
+# where BLAS threads gain nothing on an idle machine and slow the solves
+# several times when another process holds a core.  Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import pytest
 

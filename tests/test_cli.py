@@ -165,8 +165,8 @@ class TestArcs:
 
 
     def test_loose_rtol(self, capsys):
-        # the Delta samples behind the grid and the polish run at rel_tol
-        # min(rtol, 1e-10); a loose --rtol still passes the proxy's check
+        # the Delta samples behind the proxy run at rel_tol min(rtol, 1e-10);
+        # a loose --rtol still passes the proxy's check
         def points(*extra):
             code, out, _ = run(capsys, "arcs", "--n", "1,0,0,0",
                                "--window=-8,8,-0.5,0.5", "--res", "64", *extra)

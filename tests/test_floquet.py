@@ -270,6 +270,22 @@ class TestEigenvalueSearch:
             assert len(mine) == crossings + touches
         assert len(hits) == 4
 
+    @pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+    def test_endpoint_hit_survives_candidate_rounding(self, lame_spec, monkeypatch,
+                                                      shift):
+        # the band edge e1 solves Delta = 2 on the end of [-60, e1]; Hill's
+        # candidate for it moves by ~1e-12 with the BLAS thread count, and
+        # the hit must not come and go with it
+        e1 = invariants(lame_spec.torus).e1.real
+        original = floquet._hill_clusters
+
+        def rounded(*args):
+            return [(c + shift, parity, size) for c, parity, size in original(*args)]
+
+        monkeypatch.setattr(floquet, "_hill_clusters", rounded)
+        hits = periodic_eigenvalues_on_interval(lame_spec, -60.0, e1)
+        assert len(hits) == 4 and abs(hits[-1].E - e1) <= 1e-9
+
     def test_unconverged_truncation_raises(self, spec_2210, monkeypatch):
         # a cutoff far below the potential's mode decay: K = 2 and 4 disagree
         monkeypatch.setattr(floquet, "_mode_cutoff", lambda spec, g: 1)

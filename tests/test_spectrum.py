@@ -8,7 +8,7 @@ import pytest
 from hillband.elliptic import invariants
 from hillband import spectrum
 from hillband.errors import BandStructureMissing, ResolutionError
-from hillband.floquet import discriminant_derivative
+from hillband.floquet import IntegratorSettings, discriminant_batch, discriminant_derivative
 from hillband.potential import MultiplicityVector, PotentialSpec
 from hillband.spectrum import (
     _marching_segments,
@@ -249,13 +249,13 @@ class TestStabilityRegion:
         # The arcs must cover the closed-form Lame bands (-inf, -e1], [0, e1]
         # at the grid spacing, and stay on the real axis.
         guards = []
-        original = spectrum._cheb_eval
+        original = spectrum.chebgrid2d
 
-        def spy(c, tx, ty):
-            guards.append(tx is spectrum._GUARD_T)
-            return original(c, tx, ty)
+        def spy(ty, tx, c):
+            guards.append(ty is spectrum._GUARD_T)
+            return original(ty, tx, c)
 
-        monkeypatch.setattr(spectrum, "_cheb_eval", spy)
+        monkeypatch.setattr(spectrum, "chebgrid2d", spy)
         re0, re1, res = -30.0, 1000.0, 256
         arcs = stability_region(lame_spec, (re0, re1, -2.0, 2.0), res)
         assert sum(guards) >= 3 and guards.count(False) >= 2
@@ -269,6 +269,38 @@ class TestStabilityRegion:
         for lo, hi in bands:
             for col in xs[(xs >= lo + h) & (xs <= hi - h)]:
                 assert np.abs(pts[:, 0] - col).min() <= 0.5 * h
+
+    @pytest.mark.parametrize("window, res", [((30.0, 45.0, 5.0, 14.0), 7),
+                                             ((30.0, 45.0, -14.0, -5.0), 48)])
+    def test_points_stay_in_window(self, spec_1221, window, res):
+        # the vertical polish used to carry one point of each window past
+        # its Im edge, where the proxy is not certified
+        arcs = stability_region(spec_1221, window, res)
+        pts = np.concatenate(arcs.polylines)
+        assert len(pts)
+        lo, hi = sorted(window[2:])
+        assert np.all((lo <= pts[:, 1]) & (pts[:, 1] <= hi))
+        assert np.all((window[0] <= pts[:, 0]) & (pts[:, 0] <= window[1]))
+
+    @pytest.mark.parametrize("n, window, res", [
+        ((1, 2, 2, 1), (-50.0, 50.0, -16.0, 16.0), 512),
+        ((1, 0, 0, 0), (-30.0, 1000.0, -2.0, 2.0), 256)])
+    def test_direct_delta_oracle(self, n, window, res):
+        # every returned point, polished and kept on the proxy, holds on
+        # direct Delta: re_delta to 1e-8 of scale, and the keep rule within
+        # arc_tol + 1e-8 of scale
+        spec = PotentialSpec.elliptic(mv(*n), 1j)
+        arcs = stability_region(spec, window, res)
+        assert not any(poly.flags.writeable for poly in arcs.polylines)
+        pts = np.concatenate(arcs.polylines)
+        assert len(pts) >= 8
+        d = discriminant_batch(spec, pts[:, 0] + 1j * pts[:, 1],
+                               IntegratorSettings(rel_tol=1e-10, abs_tol=1e-13))
+        scale = np.maximum(1.0, np.abs(d))
+        assert np.all(np.abs(d.real - pts[:, 2]) <= 1e-8 * scale)
+        dist = np.where(np.abs(d.real) <= 2.0, np.abs(d.imag),
+                        np.abs(d - np.sign(d.real) * 2.0))
+        assert np.all(dist <= (arcs.arc_tol + 1e-8) * scale)
 
     def test_node_cap_raises(self, lame_spec, monkeypatch):
         # the window works with the default cap; below one 16 x 16 round the
@@ -293,11 +325,20 @@ class TestStabilityRegion:
         with pytest.raises(ValueError):
             stability_region(lame_spec, (-1, 1, -1, 1), 4096)
 
-    @pytest.mark.parametrize("resolution", [0, 1])
-    def test_resolution_floor(self, lame_spec, resolution):
-        # 0 used to divide by zero and 1 to return an empty ArcSet
-        with pytest.raises(ValueError):
-            stability_region(lame_spec, (-1, 1, -1, 1), resolution)
+    @pytest.mark.parametrize("window, resolution", [
+        pytest.param((-1, 1, -1, 1), 0, id="0"),
+        pytest.param((-1, 1, -1, 1), 1, id="1"),
+        pytest.param((-1, 1, -1, 1), 32.0, id="32.0"),
+        pytest.param((-1, 1, -1, 1), "32", id="'32'"),
+        pytest.param((-1, 1, -1), 32, id="window3"),
+        pytest.param((-1, 1, -1, 1, 0), 32, id="window5"),
+    ])
+    def test_resolution_floor(self, lame_spec, window, resolution):
+        # 0 used to divide by zero and 1 to return an empty ArcSet; a float
+        # or string resolution and a window of the wrong length used to
+        # raise a raw TypeError or an unpacking ValueError
+        with pytest.raises(ValueError, match="resolution|window"):
+            stability_region(lame_spec, window, resolution)
 
     def test_window_must_be_finite(self, lame_spec):
         with pytest.raises(ValueError):
