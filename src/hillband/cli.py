@@ -225,6 +225,9 @@ def _cmd_arcs(args) -> int:
     if not 2 <= args.res <= 2048:
         raise UsageError("--res must be between 2 and 2048")
     arcs = stability_region(spec, window, args.res, _settings_from_args(args))
+    if not arcs.polylines:
+        # a window that meets no arc is a correct, empty answer
+        sys.stderr.write(f"note: no arc points in window {args.window}\n")
     if args.format == "json":
         out = {
             "window": list(window),

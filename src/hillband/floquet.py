@@ -3,7 +3,10 @@
 The fundamental pair (c, s) of y'' + q(x) y = E y with c(0) = s'(0) = 1,
 c'(0) = s(0) = 0 is transported across one period [0, 1] by an adaptive
 embedded Runge-Kutta 7(8) (Fehlberg's 13-stage pair), batched: a vector of
-E values advances in lockstep with a shared step.  Each stage potential is
+E values advances in lockstep with a shared step.  The tableau is a dense
+13 x 13 matrix, so each stage is one matrix product over the stages before
+it, and the new state and its error estimate are one product with the
+weight rows.  Each stage potential is
 the sum of the closed-form Fourier modes of q on the sampling line (the
 modes Hill's method below reads), never a wp series.  Large E grids are not
 transported point by point: spectrum.stability_region reads every arc point
@@ -51,8 +54,9 @@ __all__ = [
 ]
 
 # ---------------------------------------------------------------------------
-# Fehlberg RK7(8) tableau (13 stages).  b7 propagates the 7th-order solution,
-# the classical error estimate is h * 41/840 * (k0 + k10 - k11 - k12).
+# Fehlberg RK7(8) tableau (13 stages; NASA TR R-287, 1968).  _B8 propagates
+# the 8th-order solution; the classical error estimate is
+# h * 41/840 * (k0 + k10 - k11 - k12).
 # ---------------------------------------------------------------------------
 
 _C = np.array([
@@ -85,9 +89,13 @@ _B8 = np.array([
     9.0 / 280.0, 9.0 / 280.0, 0.0, 41.0 / 840.0, 41.0 / 840.0,
 ])
 
-_ERR_WEIGHT = 41.0 / 840.0  # error = h * w * (k0 + k10 - k11 - k12)
-
 _NSTAGES = 13
+
+# dense strictly lower-triangular stage matrix, and the rows (_B8, error)
+_A = np.array([row + [0.0] * (_NSTAGES - len(row)) for row in _A_ROWS])
+_B_ERR = np.zeros((2, _NSTAGES))
+_B_ERR[0] = _B8
+_B_ERR[1, [0, 10, 11, 12]] = np.array([1.0, 1.0, -1.0, -1.0]) * 41.0 / 840.0
 
 _CLUSTER_TOL = 1e-6  # relative spread of Hill eigenvalues forming one hit
 _MAX_LINE_MODES = 2**15  # ceiling on the transport's potential mode cutoff
@@ -98,7 +106,7 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntegratorSettings:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-14
@@ -124,7 +132,7 @@ class IntegratorSettings:
 DEFAULT_SETTINGS = IntegratorSettings()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monodromy:
     """Transport matrix of (c, s) over one period: rows (value, derivative)."""
 
@@ -142,7 +150,7 @@ class Monodromy:
         return self.m11 * self.m22 - self.m12 * self.m21
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EigenvalueHit:
     """One (anti)periodic eigenvalue on the real line."""
 
@@ -172,39 +180,27 @@ def _rk_step(qs: np.ndarray, x: float, h: float, y: np.ndarray,
              E: np.ndarray, variational: bool) -> tuple[np.ndarray, np.ndarray]:
     """One RK7(8) step for the batched fundamental system.
 
-    y has shape (4, K) or (8, K); qs holds the 13 stage potentials.  Returns
-    (y_new, err_vector).
+    y has shape (4, K) or (8, K); qs holds the 13 stage potentials.  Each
+    stage is one product with a row of _A over the stages before it, and
+    the new state and the error estimate are one product with _B_ERR.
+    Returns (y_new, err_vector).
     """
-    ks = []
+    w = E - qs[:, None]
+    hA = h * _A
+    ks = np.empty((_NSTAGES,) + y.shape, dtype=complex)
+    flat = ks.reshape(_NSTAGES, -1)
+    yi = y
     for i in range(_NSTAGES):
-        yi = y
-        if i > 0:
-            acc = np.zeros_like(y)
-            row = _A_ROWS[i]
-            for j, a in enumerate(row):
-                if a != 0.0:
-                    acc += a * ks[j]
-            yi = y + h * acc
-        w = E - qs[i]
-        f = np.empty_like(yi)
-        f[0] = yi[1]
-        f[1] = w * yi[0]
-        f[2] = yi[3]
-        f[3] = w * yi[2]
+        if i:
+            yi = y + (hA[i, :i] @ flat[:i]).reshape(y.shape)
+        # (u, u')' = (u', w u) for each row pair; the E-derivatives of
+        # c' and s' also gain c and s
+        ks[i, ::2] = yi[1::2]
+        ks[i, 1::2] = w[i] * yi[::2]
         if variational:
-            f[4] = yi[5]
-            f[5] = w * yi[4] + yi[0]
-            f[6] = yi[7]
-            f[7] = w * yi[6] + yi[2]
-        ks.append(f)
-    acc = np.zeros_like(y)
-    for i in range(_NSTAGES):
-        b = _B8[i]
-        if b != 0.0:
-            acc += b * ks[i]
-    y_new = y + h * acc
-    err = h * _ERR_WEIGHT * (ks[0] + ks[10] - ks[11] - ks[12])
-    return y_new, err
+            ks[i, 5::2] += yi[0:3:2]
+    step, err = (h * _B_ERR @ flat).reshape((2,) + y.shape)
+    return y + step, err
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -237,10 +233,9 @@ def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
         h = min(h, 1.0 - x)
         qs = np.exp(np.multiply.outer(x + _C * h, ik)) @ q_hat
         y_new, err = _rk_step(qs, x, h, y, E, variational)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        ratio = np.abs(err) / scale
-        # worst column governs the shared step
-        norm = float(np.sqrt(np.mean(ratio * ratio, axis=0)).max())
+        ratio = np.abs(err) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        # RMS over the rows; the worst column governs the shared step
+        norm = math.sqrt((ratio * ratio).sum(axis=0).max() / rows)
         nsteps += 1
         if norm <= 1.0:
             x += h

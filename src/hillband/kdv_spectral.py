@@ -78,7 +78,7 @@ _CLD = np.complex256
 _PI_LD = _LD("3.14159265358979323846264338327950288")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KdVChain:
     """Recursion basis u_0..u_{g+1}, solved constants, and diagnostics.
 
@@ -95,7 +95,7 @@ class KdVChain:
     q_modes: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralPolynomial:
     """Monic polynomial Q(E), coefficients in descending powers.
 
@@ -132,7 +132,7 @@ class SpectralPolynomial:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootCluster:
     value: complex
     multiplicity: int

@@ -55,7 +55,7 @@ __all__ = [
     "verify_theorems",
 ]
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumReport:
     spec: PotentialSpec
     polynomial: SpectralPolynomial
@@ -94,7 +94,7 @@ class SpectrumReport:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapInterval:
     index: int  # j in 1..g
     lo: float  # E_{2j-1}
@@ -104,7 +104,7 @@ class GapInterval:
     edge_values: tuple[float, float]  # measured Delta at the edges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GapReport:
     spec: PotentialSpec
     genus_g: int

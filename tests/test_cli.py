@@ -148,6 +148,15 @@ class TestArcs:
         assert lines[0] == "arc_id,re_E,im_E,re_Delta"
         assert len(lines) > 10
 
+    def test_empty_window(self, capsys):
+        # a window that meets no arc is a correct empty answer: header only,
+        # exit 0, and a note on stderr
+        code, out, err = run(capsys, "arcs", "--n", "1,0,0,0",
+                             "--window=100,101,5,6", "--res", "8")
+        assert code == 0
+        assert out == "arc_id,re_E,im_E,re_Delta\n"
+        assert err == "note: no arc points in window 100,101,5,6\n"
+
     def test_reversed_imaginary_window(self, capsys):
         def points(window):
             code, out, _ = run(capsys, "arcs", "--n", "1,0,0,0",

@@ -114,6 +114,58 @@ class TestMonodromy:
             discriminant(const_spec, -1e8, settings)
 
 
+class TestTableau:
+    """The dense Fehlberg 7(8) tableau.  A mistyped entry lowers the order of
+    the pair, and the adaptive controller can still pass the Delta-vs-scipy
+    checks at 1e-8 by taking more steps; these checks do not adapt."""
+
+    def test_rows_sum_to_nodes(self):
+        assert np.abs(floquet._A.sum(axis=1) - floquet._C).max() <= 1e-14
+
+    def test_weights_integrate_degree_seven(self):
+        b, c = floquet._B_ERR[0], floquet._C
+        for k in range(8):
+            assert abs(b @ c**k - 1.0 / (k + 1)) <= 1e-14
+
+    def test_error_row_sums_to_zero(self):
+        assert abs(floquet._B_ERR[1].sum()) <= 1e-14
+
+    def test_constant_potential_step(self):
+        # y'' = w y with w = E - q: from the initial state of the transport,
+        # one step is the exact propagator (cosh, sinh of sqrt(w) h) and its
+        # w-derivative
+        q, h = 1.5 + 0.5j, 0.01
+        E = np.array([-100.0, -3.0 + 2.0j, 0.5, 40.0 - 10.0j])
+        y = np.zeros((8, E.size), dtype=complex)
+        y[0] = y[3] = 1.0
+        w = E - q
+        r = np.sqrt(w)
+        ch, sh = np.cosh(r * h), np.sinh(r * h)
+        want = np.array([ch, r * sh, sh / r, ch,
+                         h * sh / (2 * r), sh / (2 * r) + h * ch / 2,
+                         h * ch / (2 * w) - sh / (2 * w * r), h * sh / (2 * r)])
+        for rows in (4, 8):
+            got, _ = floquet._rk_step(np.full(13, q), 0.3, h, y[:rows], E, rows == 8)
+            assert np.all(np.abs(got - want[:rows])
+                          <= 1e-13 * np.maximum(1.0, np.abs(want[:rows])))
+
+    @pytest.mark.parametrize("derivative,steps", [(False, 51), (True, 52)])
+    def test_step_count(self, lame_spec, monkeypatch, derivative, steps):
+        # attempted steps of one transport on Lame, as recorded with the
+        # per-coefficient stage sums this step replaced; a change to the step
+        # or its controller that costs steps shows here
+        calls = []
+        rk_step = floquet._rk_step
+
+        def counting(*args):
+            calls.append(1)
+            return rk_step(*args)
+
+        monkeypatch.setattr(floquet, "_rk_step", counting)
+        discriminant_batch(lame_spec, np.array([-5.0, 2.0, 30.0]), derivative=derivative)
+        assert abs(len(calls) - steps) <= 0.02 * steps
+
+
 class TestLinePotential:
     """The transport reads q from the closed-form modes of the sampling line."""
 

@@ -220,6 +220,23 @@ class TestGapReport:
         assert 0 < sum(points) <= 500
 
 
+class TestResultSlots:
+    def test_results_have_no_instance_dict(self, lame_spec, gap_report_2210):
+        # callers keep many results (a sweep keeps one report per vector);
+        # slotted dataclasses carry no per-instance __dict__
+        from hillband.floquet import monodromy
+        from hillband.kdv_spectral import kdv_chain
+
+        report = classify_spectrum(lame_spec)
+        gap = gap_report_2210.gaps[2]
+        results = (report, report.polynomial, report.roots[0], kdv_chain(lame_spec, 1),
+                   gap_report_2210, gap, gap.interior_hits[0],
+                   IntegratorSettings(), monodromy(lame_spec, 2.0))
+        assert len({type(r) for r in results}) == 9
+        for result in results:
+            assert not hasattr(result, "__dict__"), type(result).__name__
+
+
 class TestStabilityRegion:
     def test_lame_small_window(self, lame_spec):
         arcs = stability_region(lame_spec, (-10.0, 10.0, -1.0, 1.0), 128)
