@@ -1,24 +1,36 @@
 """Monodromy matrix, Hill discriminant and real (anti)periodic eigenvalues.
 
-The fundamental pair (c, s) of y'' + q(x) y = E y with c(0) = s'(0) = 1,
-c'(0) = s(0) = 0 is transported across one period [0, 1] by an adaptive
-embedded Runge-Kutta 7(8) (Fehlberg's 13-stage pair), batched: a vector of
-E values advances in lockstep with a shared step.  The tableau is a dense
-13 x 13 matrix, so each stage is one matrix product over the stages before
-it, and the new state and its error estimate are one product with the
-weight rows.  Each stage potential is
-the sum of the closed-form Fourier modes of q on the sampling line (the
-modes Hill's method below reads), never a wp series.  Large E grids are not
-transported point by point: spectrum.stability_region reads every arc point
-from a guarded Chebyshev proxy of Delta fit to a few hundred adaptive samples.
+The fundamental pair (c, s) of y'' + q(x) y = E y, normalized at a start
+point, is transported by an adaptive embedded Runge-Kutta 7(8) (Fehlberg's
+13-stage pair), batched: a vector of E values advances in lockstep with a
+shared step.  Only half a period is transported.  With tau in iR the
+sampling line is PT-symmetric about x_c = -Re z0 (and about x_c + 1/2):
+q(x_c - t) = conj q(x_c + t).  One transport over E u conj(E) (real E
+once), from whichever centre has the smaller |q|, gives the fundamental
+matrix Phi_+ at x_c + 1/2; the one at x_c - 1/2 is
+Phi_-(E) = S conj(Phi_+(conj E)) S with S = diag(1, -1), and
+M = adj(Phi_-) Phi_+ (Magnus & Winkler, Hill's Equation, 1966, ch. 1-2).
+For real E, Delta = 2 Re(c conj s' + s conj c').
+Lines that are not PT-symmetric (tau off iR, a complex constant) transport
+the reflected line q(x_c - t), the reversed modes, for Phi_- instead, at
+the cost of one full period.
+
+The tableau is a dense 13 x 13 matrix, so each stage is one matrix product
+over the stages before it, and the new state and its error estimate are one
+product with the weight rows.  Each stage potential is the sum of the
+closed-form Fourier modes of q on the sampling line (the modes Hill's method
+below reads), never a wp series.  Large E grids are not transported point
+by point: spectrum.stability_region reads every arc point from a guarded
+Chebyshev proxy of Delta fit to a few hundred adaptive samples.
 
 Real solutions of Delta = +-2 are not searched for on Delta: they are the
 real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
 the closed-form Fourier modes of the potential (Deconinck & Kutz, J. Comput.
-Phys. 219, 2006; Curtis & Deconinck, Math. Comp. 79, 2010), and Delta only
-certifies them.  One batched Newton polisher (_polish) serves every point
-that is certified on Delta: these eigenvalues, and the band edges that
-spectrum's adjudication of near-real Q root clusters recovers.
+Phys. 219, 2006; Curtis & Deconinck, Math. Comp. 79, 2010), real matrices
+on a PT-symmetric line, and Delta only certifies them.  One batched Newton
+polisher (_polish) serves every point that is certified on Delta: these
+eigenvalues, and the band edges that spectrum's adjudication of near-real
+Q root clusters recovers.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ from .errors import (
     TransportOverflow,
 )
 from .kdv_spectral import _line_modes, _mode_cutoff
-from .potential import PotentialSpec
+from .potential import CONSTANT, TRIG_LIMIT, PotentialSpec
 
 __all__ = [
     "IntegratorSettings",
@@ -134,7 +146,8 @@ DEFAULT_SETTINGS = IntegratorSettings()
 
 @dataclass(frozen=True, slots=True)
 class Monodromy:
-    """Transport matrix of (c, s) over one period: rows (value, derivative)."""
+    """Transport matrix of (c, s) over one period from the symmetry centre
+    x_c the transport starts at (see _half_periods): rows (value, derivative)."""
 
     m11: complex
     m12: complex
@@ -205,11 +218,13 @@ def _rk_step(qs: np.ndarray, x: float, h: float, y: np.ndarray,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
-               settings: IntegratorSettings, variational: bool) -> np.ndarray:
-    """Adaptive transport of the fundamental system from x=0 to x=1.
+               settings: IntegratorSettings, variational: bool,
+               x0: float) -> np.ndarray:
+    """Adaptive transport of the fundamental system over [x0, x0 + 1/2].
 
     Returns the final state, shape (4, K) or (8, K) with rows
-    (c, c', s, s'[, dc/dE, dc'/dE, ds/dE, ds'/dE]).  A trial step that
+    (c, c', s, s'[, dc/dE, dc'/dE, ds/dE, ds'/dE]) of the solutions
+    normalized at x0.  A trial step that
     overflows has a non-finite error norm and is rejected, so overflow ends
     in step size underflow; it is raised there as TransportOverflow, and
     the float warnings of the rejected trials are not printed.
@@ -223,14 +238,16 @@ def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
     if K == 0:
         return y
 
-    x = 0.0
+    t = 0.0  # distance travelled from x0
     h = 0.01
     nsteps = 0
     rtol, atol = settings.rel_tol, settings.abs_tol
-    while x < 1.0:
+    while t < 0.5:
         if nsteps >= settings.max_steps:
-            raise StepLimitExceeded(f"exceeded {settings.max_steps} steps at x={x:.6f}")
-        h = min(h, 1.0 - x)
+            raise StepLimitExceeded(f"exceeded {settings.max_steps} steps at "
+                                    f"x={x0 + t:.6f}")
+        h = min(h, 0.5 - t)
+        x = x0 + t
         qs = np.exp(np.multiply.outer(x + _C * h, ik)) @ q_hat
         y_new, err = _rk_step(qs, x, h, y, E, variational)
         ratio = np.abs(err) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
@@ -238,7 +255,7 @@ def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
         norm = math.sqrt((ratio * ratio).sum(axis=0).max() / rows)
         nsteps += 1
         if norm <= 1.0:
-            x += h
+            t += h
             y = y_new
             factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** (-0.125)))
         else:
@@ -247,10 +264,57 @@ def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
         if h < 1e-13:
             if not math.isfinite(norm):
                 raise TransportOverflow(
-                    f"fundamental solutions overflow double precision at x={x:.6f} "
+                    f"fundamental solutions overflow double precision at x={x0 + t:.6f} "
                     f"(|E| up to {float(np.abs(E).max()):.3g})")
             raise TolFailure("step size underflow in adaptive transport")
     return y
+
+
+def _pt_symmetric(spec: PotentialSpec) -> bool:
+    """Whether q(x_c - t) = conj q(x_c + t) on the sampling line, x_c = -Re z0.
+
+    Read from the spec, not from the modes: tau on the imaginary axis (wp is
+    real on the real axis and even), the trig limit, or a real constant.
+    """
+    if spec.mode == CONSTANT:
+        return spec.constant.imag == 0.0
+    return spec.mode == TRIG_LIMIT or spec.torus.tau.real == 0.0
+
+
+def _half_periods(spec: PotentialSpec, E: np.ndarray, settings: IntegratorSettings,
+                  variational: bool) -> tuple[np.ndarray, np.ndarray]:
+    """States at t = 1/2 of the line from x_c and of the reflected line.
+
+    The line's potential is q(x_c + t), the reflected line's q(x_c - t); both
+    start normalized at t = 0.  x_c is -Re z0 or -Re z0 + 1/2, both centres
+    of a PT-symmetric line, whichever has the smaller |q|: a pole next to
+    the start of a half period costs accuracy.  On a PT-symmetric line the
+    reflected line at E is the conjugate of the line at conj(E), so one
+    transport over E u conj(E) (each value once) serves both.  Otherwise the
+    reflected line is transported on its own: its modes are the line's
+    reversed, from -x_c.
+    """
+    ik, q_hat = _line_potential(spec)
+    centres = -spec.z0.real + np.array([0.0, 0.5])
+    xc = float(centres[np.argmin(np.abs(np.exp(np.multiply.outer(centres, ik)) @ q_hat))])
+    E = np.asarray(E, dtype=complex).ravel()
+    if _pt_symmetric(spec):
+        pts, inv = np.unique(np.concatenate([E, E.conj()]), return_inverse=True)
+        y = _transport(ik, q_hat, pts, settings, variational, xc)
+        return y[:, inv[:E.size]], y[:, inv[E.size:]].conj()
+    return (_transport(ik, q_hat, E, settings, variational, xc),
+            _transport(ik, q_hat[::-1], E, settings, variational, -xc))
+
+
+def _monodromy_rows(f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows (m11, m21, m12, m22) of M = adj(Phi_-) Phi_+.
+
+    Phi_+ (rows f = (c, c', s, s')) is the fundamental matrix at x_c + 1/2
+    and Phi_- = S B S, S = diag(1, -1), the one at x_c - 1/2, where B (rows
+    b) is the reflected line's; adj(S B S) = [[b22, b12], [b21, b11]].
+    """
+    return np.array([b[3] * f[0] + b[2] * f[1], b[1] * f[0] + b[0] * f[1],
+                     b[3] * f[2] + b[2] * f[3], b[1] * f[2] + b[0] * f[3]])
 
 
 def _transport_fixed(qfun, E: np.ndarray, nsteps: int,
@@ -277,14 +341,28 @@ def _transport_fixed(qfun, E: np.ndarray, nsteps: int,
 
 def monodromy_batch(spec: PotentialSpec, E, settings: Optional[IntegratorSettings] = None,
                     variational: bool = False) -> np.ndarray:
-    """Final fundamental-system states for a vector of E values."""
+    """Monodromy matrices over one period from x_c, for a vector of E.
+
+    Rows (m11, m21, m12, m22[, their E-derivatives]): the columns (c, s) of
+    the fundamental system normalized at x_c, one period on.  Each is built
+    from two half periods about x_c (see _half_periods, _monodromy_rows).
+    """
     settings = settings or DEFAULT_SETTINGS
-    return _transport(*_line_potential(spec), E, settings, variational)
+    f, b = _half_periods(spec, E, settings, variational)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = _monodromy_rows(f, b)
+        if variational:
+            m = np.concatenate([m, _monodromy_rows(f[4:], b) + _monodromy_rows(f, b[4:])])
+    if not np.isfinite(m).all():
+        raise TransportOverflow(
+            f"monodromy overflows double precision "
+            f"(|E| up to {float(np.abs(np.asarray(E)).max()):.3g})")
+    return m
 
 
 def monodromy(spec: PotentialSpec, E: complex,
               settings: Optional[IntegratorSettings] = None) -> Monodromy:
-    """Monodromy matrix M(E) with columns (c, s) evaluated at x = 1."""
+    """Monodromy matrix M(E) with columns (c, s) evaluated at x = x_c + 1."""
     y = monodromy_batch(spec, [E], settings)
     return Monodromy(m11=complex(y[0, 0]), m12=complex(y[2, 0]),
                      m21=complex(y[1, 0]), m22=complex(y[3, 0]))
@@ -351,8 +429,14 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     off the axis by that much), and those of one parity that close to each
     other form one cluster.  Returns
     (centre, parity, size) triples sorted by centre.
+
+    The line must be PT-symmetric.  Its modes translated to the symmetry
+    centre x_c = -Re z0, p_k = q_hat_k exp(2 pi i k x_c), are real, and the
+    translation is a diagonal unitary similarity: H_mu is a real matrix with
+    the eigenvalues of the untranslated complex one.
     """
-    q = _line_modes(spec, 2 * K).astype(complex)
+    phase = np.exp(2j * math.pi * np.arange(-2 * K, 2 * K + 1) * -spec.z0.real)
+    q = (_line_modes(spec, 2 * K) * phase).real.astype(float)
     k = np.arange(-K, K + 1)
     toeplitz = q[2 * K + k[:, None] - k[None, :]]
     clusters = []
@@ -423,14 +507,16 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
     raised.  The cluster size is the order estimate (2 for a tangential
     touch, 1 for a crossing), and Delta certifies every hit: each is
     polished (see _polish), and a closing residual |Delta - parity| above
-    1e-6 raises TolFailure.  Requires Delta real on [a, b] (tau on the
-    imaginary axis, trig-limit, or real constant mode).
+    1e-6 raises TolFailure.  Requires Delta real on [a, b], i.e. a
+    PT-symmetric line (tau on the imaginary axis, trig limit, or real
+    constant; see _pt_symmetric).
     """
     if not a < b:
         raise ValueError("need a < b")
     settings = settings or DEFAULT_SETTINGS
-    if spec.mode == "elliptic" and abs(spec.torus.tau.real) > 1e-12:
-        raise ValueError("real-line eigenvalue search requires tau in i*R")
+    if not _pt_symmetric(spec):
+        raise ValueError("real-line eigenvalue search requires tau in i*R "
+                         "(or the trig limit, or a real constant)")
 
     reach = max(abs(a), abs(b))
     K = max(_mode_cutoff(spec, 0), math.ceil(2.0 * math.sqrt(reach) / math.pi))

@@ -26,6 +26,7 @@ from .floquet import (
     IntegratorSettings,
     _is_integer,
     _polish,
+    _pt_symmetric,
     discriminant_batch,
     periodic_eigenvalues_on_interval,
 )
@@ -174,7 +175,7 @@ def _resolve_ambiguous_pairs(spec, roots, settings):
     A cluster whose polished points leave its window, whose |f*| is below
     1e-8, or whose split is below float resolution stays as it was.
     """
-    if spec.mode == "elliptic" and abs(spec.torus.tau.real) > 1e-12:
+    if not _pt_symmetric(spec):
         return roots
     scale = 1.0 + max(abs(r.value) for r in roots)
 

@@ -66,18 +66,31 @@ def delta_constant(c: complex, e) -> np.ndarray:
     return 2.0 * np.cos(np.sqrt(c - e))
 
 
-def monodromy_scipy(spec, e_value: complex, rtol: float = 1e-12):
-    """Monodromy trace via scipy DOP853 (independent integrator route)."""
+def monodromy_scipy(spec, e_value: complex, rtol: float = 1e-12,
+                    derivative: bool = False):
+    """Monodromy trace via scipy DOP853 (independent integrator route).
+
+    Transports (c, s) over the full period [0, 1] of the line z0 + x; with
+    ``derivative`` the variational system rides along and (Delta, dDelta/dE)
+    is returned.
+    """
     from scipy.integrate import solve_ivp
 
     from hillband.potential import evaluate_potential
 
     def rhs(x, y):
         w = e_value - evaluate_potential(spec, spec.z0 + x)
-        return [y[1], w * y[0], y[3], w * y[2]]
+        out = [y[1], w * y[0], y[3], w * y[2]]
+        if derivative:
+            out += [y[5], w * y[4] + y[0], y[7], w * y[6] + y[2]]
+        return out
 
-    sol = solve_ivp(rhs, (0.0, 1.0), np.array([1, 0, 0, 1], dtype=complex),
-                    method="DOP853", rtol=rtol, atol=1e-14, dense_output=False)
+    y0 = np.zeros(8 if derivative else 4, dtype=complex)
+    y0[0] = y0[3] = 1.0
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=1e-14,
+                    dense_output=False)
     assert sol.success
     yf = sol.y[:, -1]
+    if derivative:
+        return yf[0] + yf[3], yf[4] + yf[7]
     return yf[0] + yf[3]

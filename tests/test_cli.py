@@ -37,6 +37,15 @@ class TestDisc:
         assert abs(d["delta"][0] + 1.4053926432) < 1e-6
         assert d["det_defect"] < 1e-9
 
+    def test_off_axis_tau(self, capsys):
+        # tau = 0.3 + i has no PT-symmetric sampling line: the monodromy is
+        # built from the line's half period and the reflected line's
+        code, out, _ = run(capsys, "disc", "--n", "1,0,0,0", "--tau-full", "0.3,1",
+                           "--E", "2,0")
+        assert code == 0
+        d = json.loads(out)
+        assert d["det_defect"] < 1e-9
+
 
 class TestQpolySpectrum:
     def test_qpoly_schema(self, capsys):

@@ -1,6 +1,7 @@
 """Monodromy transport, discriminant properties, and eigenvalue search."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,11 +150,14 @@ class TestTableau:
             assert np.all(np.abs(got - want[:rows])
                           <= 1e-13 * np.maximum(1.0, np.abs(want[:rows])))
 
-    @pytest.mark.parametrize("derivative,steps", [(False, 51), (True, 52)])
-    def test_step_count(self, lame_spec, monkeypatch, derivative, steps):
-        # attempted steps of one transport on Lame, as recorded with the
-        # per-coefficient stage sums this step replaced; a change to the step
-        # or its controller that costs steps shows here
+    @pytest.mark.parametrize("tau,derivative,steps", [
+        (1j, False, 26), (1j, True, 27), (0.3 + 1j, False, 53), (0.3 + 1j, True, 54)])
+    def test_step_count(self, monkeypatch, tau, derivative, steps):
+        # attempted steps on Lame: one half period over E u conj(E) on the
+        # PT-symmetric line at tau = i; the line's and the reflected line's
+        # half periods at tau = 0.3 + i.  A change to the step or its
+        # controller that costs steps shows here, and so does a reflected
+        # transport that runs a full period
         calls = []
         rk_step = floquet._rk_step
 
@@ -162,7 +166,8 @@ class TestTableau:
             return rk_step(*args)
 
         monkeypatch.setattr(floquet, "_rk_step", counting)
-        discriminant_batch(lame_spec, np.array([-5.0, 2.0, 30.0]), derivative=derivative)
+        spec = PotentialSpec.elliptic(mv(1, 0, 0, 0), tau)
+        discriminant_batch(spec, np.array([-5.0, 2.0, 30.0]), derivative=derivative)
         assert abs(len(calls) - steps) <= 0.02 * steps
 
 
@@ -231,6 +236,97 @@ class TestLinePotential:
         with pytest.raises(TransportOverflow):
             discriminant(lame_spec, 3.0)
         assert len(calls) == 1
+
+
+def _mirror(spec):
+    """The conjugate potential's spec: conj q(z0 + x; tau) = q(conj z0 + x; -conj tau),
+    so Delta(conj E) on it is conj Delta(E) on spec."""
+    z0 = spec.z0.conjugate()
+    if spec.mode == "constant":
+        return PotentialSpec.constant_potential(spec.constant.conjugate(), z0)
+    return PotentialSpec.elliptic(spec.n, -spec.torus.tau.conjugate(), z0)
+
+
+def _check_half_period_invariants(spec, e_val, re_shift):
+    """Delta and Delta' against scipy's full-period DOP853 run, det M = 1,
+    conjugation symmetry and independence of Re z0, at 1e-9 relative."""
+    (delta,), (slope,) = discriminant_batch(spec, [e_val], derivative=True)
+    ref, ref_slope = monodromy_scipy(spec, e_val, derivative=True)
+    assert abs(delta - ref) <= 1e-9 * max(1.0, abs(ref))
+    assert abs(slope - ref_slope) <= 1e-9 * max(1.0, abs(ref_slope))
+    m = monodromy(spec, e_val)
+    size = max(1.0, abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22))
+    assert abs(m.det - 1.0) <= 1e-9 * size**2
+    mirrored = discriminant(_mirror(spec), e_val.conjugate())
+    assert abs(mirrored - delta.conjugate()) <= 1e-9 * max(1.0, abs(delta))
+    moved = replace(spec, z0=spec.z0 + re_shift)
+    assert abs(discriminant(moved, e_val) - delta) <= 1e-9 * max(1.0, abs(delta))
+
+
+def _complex_hill_clusters(spec, K, lo, hi):
+    """_hill_clusters on the complex Toeplitz matrix of the untranslated modes."""
+    q = floquet._line_modes(spec, 2 * K).astype(complex)
+    k = np.arange(-K, K + 1)
+    tol = floquet._CLUSTER_TOL
+    clusters = []
+    for mu, parity in ((0.0, 2), (math.pi, -2)):
+        ev = np.linalg.eigvals(q[2 * K + k[:, None] - k[None, :]]
+                               - np.diag((2.0 * math.pi * k + mu) ** 2))
+        real = np.sort(ev.real[(np.abs(ev.imag) <= tol * (1.0 + np.abs(ev.real)))
+                               & (ev.real >= lo) & (ev.real <= hi)])
+        breaks = np.nonzero(np.diff(real) > tol * (1.0 + np.abs(real[1:])))[0]
+        clusters += [(part.mean(), parity, part.size)
+                     for part in np.split(real, breaks + 1) if part.size]
+    return sorted(clusters)
+
+
+class TestHalfPeriod:
+    """Delta from the half periods about a symmetry centre of the line:
+    one transport over E u conj(E) on a PT-symmetric line, the reflected
+    line's own transport otherwise (tau off the imaginary axis, a complex
+    constant)."""
+
+    # the line keeps 0.15 Im tau from the poles, and Im tau >= 0.8: nearer a
+    # pole the transport carries the noise test_near_pole_line_doubles_modes
+    # bounds at 1e-6, and at Im tau = 0.5 the entries of M reach 1e6 where
+    # Delta = 2, so any transport's Delta carries ~1e-13 |M| (1e-7 there)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ns=st.tuples(*[st.integers(0, 3)] * 4).filter(lambda t: max(t) >= 1),
+           tau_re=st.sampled_from([0.0, 0.3]), b=st.floats(0.8, 3.0),
+           re_z0=st.floats(0.0, 1.0), im_frac=st.floats(0.15, 0.35),
+           re_e=st.floats(-40.0, 30.0), im_e=st.sampled_from([0.0, 3.0, -2.5]),
+           re_shift=st.floats(-1.0, 1.0))
+    def test_elliptic_invariants(self, ns, tau_re, b, re_z0, im_frac, re_e, im_e,
+                                 re_shift):
+        spec = PotentialSpec.elliptic(mv(*ns), complex(tau_re, b),
+                                      complex(re_z0, im_frac * b))
+        _check_half_period_invariants(spec, complex(re_e, im_e), re_shift)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(re_z0=st.floats(-1.0, 1.0), re_e=st.floats(-40.0, 30.0),
+           im_e=st.sampled_from([0.0, 3.0, -2.5]), re_shift=st.floats(-1.0, 1.0))
+    def test_complex_constant_invariants(self, re_z0, re_e, im_e, re_shift):
+        spec = PotentialSpec.constant_potential(3.0 + 1.5j, complex(re_z0, 0.0))
+        _check_half_period_invariants(spec, complex(re_e, im_e), re_shift)
+
+    def test_pt_symmetry_read_from_spec(self):
+        assert floquet._pt_symmetric(PotentialSpec.elliptic(mv(2, 1, 0, 0), 1.3j, 0.4 + 0.2j))
+        assert floquet._pt_symmetric(PotentialSpec.trig_limit(mv(1, 1, 0, 0), z0=0.3 - 0.25j))
+        assert floquet._pt_symmetric(PotentialSpec.constant_potential(2.0))
+        assert not floquet._pt_symmetric(PotentialSpec.elliptic(mv(1, 0, 0, 0), 0.3 + 1j))
+        assert not floquet._pt_symmetric(PotentialSpec.constant_potential(3.0 + 1.5j))
+
+    @pytest.mark.parametrize("tup,tau,z0", [
+        ((2, 2, 1, 0), 1j, None), ((3, 2, 1, 1), 1j, 0.37 + 0.3j)])
+    def test_real_hill_matrix_keeps_clusters(self, tup, tau, z0):
+        spec = PotentialSpec.elliptic(mv(*tup), tau, z0)
+        K = floquet._mode_cutoff(spec, 0) + 8
+        real = floquet._hill_clusters(spec, K, -300.0, 800.0)
+        reference = _complex_hill_clusters(spec, K, -300.0, 800.0)
+        assert len(real) >= 6 and len(real) == len(reference)
+        for (c, parity, size), (c0, parity0, size0) in zip(real, reference):
+            assert (parity, size) == (parity0, size0)
+            assert abs(c - c0) <= floquet._CLUSTER_TOL * (1.0 + abs(c0))
 
 
 class TestDerivative:
