@@ -8,11 +8,12 @@ output).  Exit codes: 0 success/verified, 1 usage error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import sys
 
 from . import _serialize as ser
-from .errors import HillbandError
+from .errors import HillbandError, TransportOverflow
 from .floquet import IntegratorSettings, monodromy
 from .kdv_spectral import poly_discriminant, spectral_polynomial, spectral_roots
 from .potential import MultiplicityVector, PotentialSpec, classify
@@ -174,12 +175,16 @@ def _cmd_disc(args) -> int:
     spec = _spec_from_args(args)
     e = _parse_complex(args.E, "--E")
     m = monodromy(spec, e, _settings_from_args(args))
+    det = m.det
+    if not cmath.isfinite(det):
+        # entries near 1e237 are finite, but their products in det M are not
+        raise TransportOverflow(f"det M overflows double precision (|E| = {abs(e):.3g})")
     out = {
         "n": list(spec.n.as_tuple()),
         "tau_im": spec.torus.tau.imag,
         "E": [e.real, e.imag],
         "delta": [m.trace.real, m.trace.imag],
-        "det_defect": abs(m.det - 1.0),
+        "det_defect": abs(det - 1.0),
     }
     _emit(args, ser.dumps(out) + "\n")
     return 0

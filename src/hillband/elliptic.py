@@ -143,24 +143,32 @@ def _eisenstein_sum(q: complex, power: int, terms: int) -> complex:
     return complex(np.sum(n**power * qn / (1.0 - qn)))
 
 
+def _eisenstein_terms(tau: complex) -> int:
+    return max(8, math.ceil(16.0 * math.log(10.0) / (2.0 * math.pi * tau.imag)) + 8)
+
+
+def _eta1(torus: TorusParam) -> complex:
+    """eta1 = (pi^2/6) * E2(tau), E2 from its Eisenstein series in q = nome^2."""
+    e2_series = 1.0 - 24.0 * _eisenstein_sum(torus.nome**2, 1, _eisenstein_terms(torus.tau))
+    return (math.pi**2 / 6.0) * e2_series
+
+
 def invariants(torus: TorusParam) -> LatticeInvariants:
     """Lattice invariants g2, g3, half-period values and eta1.
 
     g2, g3, eta1 come from the Eisenstein series E4, E6, E2 in q = nome^2;
     the e_k are direct wp evaluations at the half periods.  eta1 uses
-    eta1 = (pi^2/6) * E2(tau); tests cross-check it against the Legendre
-    relation and against the mean of wp over a period line.
+    eta1 = (pi^2/6) * E2(tau) (see _eta1); tests cross-check it against the
+    Legendre relation and against the mean of wp over a period line.
     """
     tau = torus.tau
     q = torus.nome**2
-    terms = max(8, math.ceil(16.0 * math.log(10.0) / (2.0 * math.pi * tau.imag)) + 8)
-    e2_series = 1.0 - 24.0 * _eisenstein_sum(q, 1, terms)
+    terms = _eisenstein_terms(tau)
     e4_series = 1.0 + 240.0 * _eisenstein_sum(q, 3, terms)
     e6_series = 1.0 - 504.0 * _eisenstein_sum(q, 5, terms)
     g2 = (4.0 * math.pi**4 / 3.0) * e4_series
     g3 = (8.0 * math.pi**6 / 27.0) * e6_series
-    eta1 = (math.pi**2 / 6.0) * e2_series
     e1 = wp(0.5, torus)
     e2 = wp(tau / 2.0, torus)
     e3 = wp((1.0 + tau) / 2.0, torus)
-    return LatticeInvariants(g2=g2, g3=g3, e1=e1, e2=e2, e3=e3, eta1=eta1)
+    return LatticeInvariants(g2=g2, g3=g3, e1=e1, e2=e2, e3=e3, eta1=_eta1(torus))

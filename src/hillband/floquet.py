@@ -452,8 +452,31 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     return sorted(clusters)
 
 
+def _polish_h(E: np.ndarray) -> np.ndarray:
+    """Half-width h = 1e-5 (1 + |E|) of _polish's central difference at E."""
+    return 1e-5 * (1.0 + np.abs(E))
+
+
+def _delta_pass(spec: PotentialSpec, E: np.ndarray, h: np.ndarray,
+                stencil: np.ndarray, settings: IntegratorSettings
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Delta, Delta' and Delta'' at real points E from one Delta, Delta' call.
+
+    Delta'' is the central difference of Delta' at E +- h where ``stencil``
+    is true, and 0 elsewhere.
+    """
+    s = np.nonzero(stencil)[0]
+    pts = np.concatenate([E, E[s] + h[s], E[s] - h[s]])
+    dval, dder = discriminant_batch(spec, pts, settings, derivative=True)
+    n, m = E.size, s.size
+    d2 = np.zeros(n)
+    d2[s] = (dder[n:n + m].real - dder[n + m:].real) / (2.0 * h[s])
+    return dval[:n].real, dder[:n].real, d2
+
+
 def _polish(spec: PotentialSpec, E0: np.ndarray, target: np.ndarray,
-            double: np.ndarray, settings: IntegratorSettings
+            double: np.ndarray, settings: IntegratorSettings,
+            first: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched Newton polish of real points on Delta.
 
@@ -466,28 +489,36 @@ def _polish(spec: PotentialSpec, E0: np.ndarray, target: np.ndarray,
     1e-13 (1 + |E|).  The extremum objective also finds a minimum where
     Delta = 0 inside a band, which Newton on Delta' = 0 would miss.
     Delta'' is a central difference of Delta' at E +- h,
-    h = 1e-5 (1 + |E0|), and every step is clipped to +-10 h, so callers
-    check their own window afterwards.  Returns the points with Delta,
-    Delta' and Delta'' (0 for crossings) from each point's last pass.
+    h = _polish_h(E0), and every step is clipped to +-10 h, so callers
+    check their own window afterwards.  ``first`` = (measured, Delta,
+    Delta', Delta'') carries the first pass at E0 for the points where
+    ``measured`` is true, as _delta_pass gives it with this h and
+    stencil = double; the first call then transports only the rest.
+    Returns the points with Delta, Delta' and Delta'' (0 for crossings)
+    from each point's last pass.
     """
     E = E0.astype(float).copy()
-    h = 1e-5 * (1.0 + np.abs(E))
-    delta, d1, d2 = np.zeros((3, E.size))
+    h = _polish_h(E)
+    if first is None:
+        measured = np.zeros(E.size, dtype=bool)
+        delta, d1, d2 = np.zeros((3, E.size))
+    else:
+        measured = first[0].copy()
+        delta, d1, d2 = (np.where(measured, v, 0.0) for v in first[1:])
     live = np.ones(E.size, dtype=bool)
     for _ in range(10):
         idx = np.nonzero(live)[0]
         if not idx.size:
             break
+        fresh = idx[~measured[idx]]
+        if fresh.size:
+            delta[fresh], d1[fresh], d2[fresh] = _delta_pass(
+                spec, E[fresh], h[fresh], double[fresh], settings)
+        measured[:] = False
         dbl = double[idx]
-        tan = idx[dbl]
-        pts = np.concatenate([E[idx], E[tan] + h[tan], E[tan] - h[tan]])
-        dval, dder = discriminant_batch(spec, pts, settings, derivative=True)
-        n, m = idx.size, tan.size
-        delta[idx], d1[idx] = dval[:n].real, dder[:n].real
-        d2[tan] = (dder[n:n + m].real - dder[n + m:].real) / (2.0 * h[tan])
         f = np.where(dbl, delta[idx] * d1[idx], delta[idx] - target[idx])
         fp = np.where(dbl, d1[idx] ** 2 + delta[idx] * d2[idx], d1[idx])
-        step = np.divide(f, fp, out=np.zeros(n), where=np.abs(fp) > 1e-300)
+        step = np.divide(f, fp, out=np.zeros(idx.size), where=np.abs(fp) > 1e-300)
         E[idx] -= np.clip(step, -10.0 * h[idx], 10.0 * h[idx])
         stop = np.where(dbl, 1e-13, 1e-8) * (1.0 + np.abs(E[idx]))
         live[idx] = np.abs(step) > stop

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elliptic import TorusParam, invariants, wp
+from .elliptic import TorusParam, _eta1, wp
 from .errors import NotNormalized, ParityError, PoleProximity
 
 __all__ = [
@@ -303,5 +303,4 @@ def mean_potential(spec: PotentialSpec) -> complex:
         return spec.constant
     if spec.mode == TRIG_LIMIT:
         return complex(trig_constant(spec.n))
-    inv = invariants(spec.torus)
-    return 2.0 * inv.eta1 * spec.n.weight_sum()
+    return 2.0 * _eta1(spec.torus) * spec.n.weight_sum()

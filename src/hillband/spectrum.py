@@ -24,8 +24,10 @@ from .floquet import (
     DEFAULT_SETTINGS,
     EigenvalueHit,
     IntegratorSettings,
+    _delta_pass,
     _is_integer,
     _polish,
+    _polish_h,
     _pt_symmetric,
     discriminant_batch,
     periodic_eigenvalues_on_interval,
@@ -159,18 +161,21 @@ def _resolve_ambiguous_pairs(spec, roots, settings):
     surface as conjugate pairs with a spurious small imaginary part, or as
     real doubles.  Pairs with |Im| > 1e-4 * scale are far above coefficient
     noise and are never touched.  All clusters of one call share one
-    batched Delta, Delta' call at their centres and one batched polish (see
-    floquet._polish):
+    batched polish (see floquet._polish), and one batched Delta, Delta'
+    call on the stencil [c, c + h, c - h] of their centres c, with the
+    polish's own h, which gives Delta'' at c as well:
 
     * |Delta(centre)| < 1.9: the cluster straddles a band whose edges are
       transversal crossings of Delta = -+2, steep for narrow bands.  Each
       is polished from its linear prediction and certified by a sign
       change of Delta - target across E -+ 0.1 / |Delta'|; the 0.1 margin
       matches the 1.9 threshold that certified Delta(centre).
-    * otherwise the extremum f* of f = Delta^2 - 4 near the centre decides:
-      f* < 0 with f'' = 2 Delta'^2 + 2 Delta Delta'' > 0 is a band of
-      half-width sqrt(-2 f* / f''), f* > 0 with f'' < 0 a gap, which
-      confirms the complex pair.
+    * otherwise the extremum f* of f = Delta^2 - 4 near the centre decides.
+      The polish starts at the centre, and the stencil call is its first
+      pass.  f* < 0 with f'' = 2 Delta'^2 + 2 Delta Delta'' > 0 is a band
+      of half-width sqrt(-2 f* / f''); f* > 0 with f'' < 0 is a gap of
+      that half-width between two bands.  Either way the cluster becomes
+      the two real edges E* -+ sqrt(-2 f* / f'').
 
     A cluster whose polished points leave its window, whose |f*| is below
     1e-8, or whose split is below float resolution stays as it was.
@@ -209,8 +214,9 @@ def _resolve_ambiguous_pairs(spec, roots, settings):
 
     centre = np.array([c[1] for c in clusters])
     window = np.array([c[2] for c in clusters])
-    d0, slope = discriminant_batch(spec, centre, settings, derivative=True)
-    d0, slope = d0.real, slope.real
+    # the stencil _polish would transport first at an extremum cluster
+    d0, slope, curv = _delta_pass(spec, centre, _polish_h(centre),
+                                  np.ones(centre.size, dtype=bool), settings)
     crossing = (np.abs(d0) < 1.9) & (np.abs(slope) > 1e-300)
     cross, ext = np.nonzero(crossing)[0], np.nonzero(~crossing)[0]
     nc = 2 * cross.size
@@ -221,8 +227,9 @@ def _resolve_ambiguous_pairs(spec, roots, settings):
     target = np.concatenate([lower_t, -lower_t, np.zeros(ext.size)])
     start = np.concatenate([centre[oc] - (d0[oc] - target[:nc]) / slope[oc],
                             centre[ext]])
-    E, dval, dder, d2 = _polish(spec, start, target, np.arange(owner.size) >= nc,
-                                settings)
+    double = np.arange(owner.size) >= nc
+    E, dval, dder, d2 = _polish(spec, start, target, double, settings,
+                                first=(double, d0[owner], slope[owner], curv[owner]))
     ok = np.abs(E - centre[owner]) <= window[owner]
     if nc:
         margin = np.minimum(0.1 / np.maximum(np.abs(dder[:nc]), 1e-300),

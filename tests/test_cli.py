@@ -252,6 +252,8 @@ class TestOverflow:
     @pytest.mark.parametrize("argv", [
         ["disc", "--n", "1,0,0,0", "--E", "1e6,0"],
         ["arcs", "--n", "1,0,0,0", "--window=-10,1e6,-1,1", "--res", "16"],
+        # Delta ~ 7e237 is finite, but det M's products are not
+        ["disc", "--n", "1,0,0,0", "--E", "3e5,0"],
     ])
     def test_overflow_is_named(self, argv):
         # Delta ~ exp(sqrt(E)) leaves double precision near E = 5e5; that is

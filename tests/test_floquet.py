@@ -347,6 +347,41 @@ class TestDerivative:
         assert abs(discriminant_derivative(lame_spec, e1)) > 1e-4
 
 
+class TestPolish:
+    def test_partial_first_pass(self, spec_2210, monkeypatch):
+        # crossings (Delta = +-2) and doubles (extrema of Delta^2 - 4: the
+        # touch at -46.68, the Delta = 0 minima at 15.45 and -20.53, the
+        # maximum at 43.88), with the first pass known for some of each
+        E0 = np.array([-46.67759, -3.45584, 15.44506, 4.93499, -20.53190,
+                       20.62556, 43.87949, 55.00149])
+        target = np.array([0.0, 2.0, 0.0, 2.0, 0.0, -2.0, 0.0, -2.0])
+        double = target == 0.0
+        measured = np.arange(E0.size) % 3 != 2
+        cfg = IntegratorSettings()
+        first = np.zeros((3, E0.size))
+        first[:, measured] = floquet._delta_pass(
+            spec_2210, E0[measured], floquet._polish_h(E0[measured]),
+            double[measured], cfg)
+        sizes = []
+        original = floquet.discriminant_batch
+
+        def counting(spec, E, *args, **kwargs):
+            sizes.append(np.size(E))
+            return original(spec, E, *args, **kwargs)
+
+        monkeypatch.setattr(floquet, "discriminant_batch", counting)
+        plain = floquet._polish(spec_2210, E0, target, double, cfg)
+        plain_sizes = sizes[:]
+        sizes.clear()
+        part = floquet._polish(spec_2210, E0, target, double, cfg,
+                               first=(measured, *first))
+        # the first call transports only the unmeasured double at 15.45 with
+        # its stencil and the unmeasured crossing at 20.63; rounding may
+        # cost a double one pass more than the plain run
+        assert sizes[0] == 4 and len(sizes) <= len(plain_sizes) + 1
+        assert np.all(np.abs(part[0] - plain[0]) <= 1e-12 * (1.0 + np.abs(plain[0])))
+
+
 class TestMultiplicity:
     def test_lame_simple_edge(self, lame_spec):
         e1 = invariants(lame_spec.torus).e1.real

@@ -9,6 +9,7 @@ from hillband.elliptic import invariants
 from hillband import spectrum
 from hillband.errors import BandStructureMissing, ResolutionError
 from hillband.floquet import IntegratorSettings, discriminant_batch, discriminant_derivative
+from hillband.kdv_spectral import RootCluster, spectral_polynomial, spectral_roots
 from hillband.potential import MultiplicityVector, PotentialSpec
 from hillband.spectrum import (
     _marching_segments,
@@ -116,8 +117,9 @@ class TestAdjudication:
             (219.4736964487, 0.0, 1), (219.4736120208, 0.0, 1),
             (-109.3641526796, 0.0, 1), (-109.6622837894, 0.0, 1),
             (-219.1755653428, 0.0, 1)]),
-        # Delta(centre) ~ 9.8 at E ~ 713: split through a Delta = 0 minimum
-        # of Delta^2 - 4 (a condition vector, so C3/C4 do not check it)
+        # Delta(centre) ~ -0.012 at E ~ 713: a crossing split (a condition
+        # vector, so C3/C4 do not check it; the extremum path through the
+        # Delta = 0 minimum here is test_extremum_through_delta_zero)
         ((3, 0, 3, 2), 0.6, [
             (713.0805624241, 0.0, 1), (713.0805624141, 0.0, 1),
             (164.8143078433, 0.0, 1), (164.813885659, 0.0, 1),
@@ -150,10 +152,30 @@ class TestAdjudication:
         for (re, im, _, _), (re0, im0, _) in zip(got, expected):
             assert abs(complex(re - re0, im - im0)) <= 1e-9 * scale
 
-    @pytest.mark.parametrize("tup,b", [((3, 0, 3, 0), 0.6), ((3, 3, 1, 0), 1.7)])
+    @pytest.mark.parametrize("offset", [3e-8, -3e-8, 1e-7])
+    def test_extremum_through_delta_zero(self, offset):
+        # a real double placed where Delta reads +11.9, -12.0 or +39.8 is
+        # split on the extremum path: Newton on Delta Delta' = 0 finds the
+        # Delta = 0 minimum of Delta^2 - 4 inside the micro band at E ~ 713
+        spec = PotentialSpec.elliptic(mv(3, 0, 3, 2), 0.6j)
+        roots = [r for r in spectral_roots(spectral_polynomial(spec))
+                 if abs(r.value - 713.08) > 1.0]
+        roots.append(RootCluster(value=complex(713.0805624191 + offset, 0.0),
+                                 multiplicity=2, is_real=True))
+        out = spectrum._resolve_ambiguous_pairs(spec, roots, IntegratorSettings())
+        scale = 1.0 + max(abs(r.value) for r in out)
+        top = [r for r in out if abs(r.value - 713.08) < 1.0]
+        assert [(r.multiplicity, r.is_real) for r in top] == [(1, True)] * 2
+        for r, edge in zip(top, (713.0805624241, 713.0805624141)):
+            assert abs(r.value - edge) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("tup,b", [((3, 0, 3, 0), 0.6), ((3, 3, 1, 0), 1.7),
+                                       ((2, 2, 0, 0), 1.7)])
     def test_delta_calls_bounded(self, tup, b, monkeypatch):
-        # one batched call at the cluster centres, the shared polish passes
-        # and one bracket call; per-cluster scalar Newton loops made 8 to 16
+        # one batched stencil call at the cluster centres, which is also the
+        # polish's first pass at an extremum cluster, the remaining polish
+        # passes and, for crossings, one bracket call; per-cluster scalar
+        # Newton loops made 8 to 16
         from hillband import floquet, spectrum
 
         calls = []
@@ -166,7 +188,10 @@ class TestAdjudication:
         monkeypatch.setattr(floquet, "discriminant_batch", counting)
         monkeypatch.setattr(spectrum, "discriminant_batch", counting)
         classify_spectrum(PotentialSpec.elliptic(mv(*tup), 1j * b))
-        assert 0 < len(calls) <= 6
+        if b == 0.6:  # a crossing op: stencil, one polish pass, bracket
+            assert 0 < len(calls) <= 3
+        else:  # extremum clusters only: the stencil and one more pass
+            assert len(calls) == 2
 
 
 class TestGapReport:
