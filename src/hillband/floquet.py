@@ -3,8 +3,10 @@
 The fundamental pair (c, s) of y'' + q(x) y = E y, normalized at a start
 point, is transported by an adaptive embedded Runge-Kutta 7(8) (Fehlberg's
 13-stage pair), batched: a vector of E values advances in lockstep with a
-shared step.  Only half a period is transported.  With tau in iR the
-sampling line is PT-symmetric about x_c = -Re z0 (and about x_c + 1/2):
+shared step.  Only half a period is transported.  Like every engine it
+runs on the sampling line tau/4 + [0, 1] (see kdv_spectral._line_modes),
+whatever the spec's base point z0.  With tau in iR that line is
+PT-symmetric about x_c = 0 (and about x_c = 1/2):
 q(x_c - t) = conj q(x_c + t).  One transport over E u conj(E) (real E
 once), from whichever centre has the smaller |q|, gives the fundamental
 matrix Phi_+ at x_c + 1/2; the one at x_c - 1/2 is
@@ -36,7 +38,6 @@ Q root clusters recovers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,34 +112,20 @@ _B_ERR[1, [0, 10, 11, 12]] = np.array([1.0, 1.0, -1.0, -1.0]) * 41.0 / 840.0
 
 _CLUSTER_TOL = 1e-6  # relative spread of Hill eigenvalues forming one hit
 _MAX_LINE_MODES = 2**15  # ceiling on the transport's potential mode cutoff
-
-
-def _is_integer(value) -> bool:
-    """True for Python and numpy integers; False for bools, floats and strings."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+_MAX_STEPS = 10**6  # attempted steps per adaptive transport
 
 
 @dataclass(frozen=True, slots=True)
 class IntegratorSettings:
+    """Relative tolerance of the adaptive transport; the absolute tolerance
+    is 1e-2 of it."""
+
     rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_steps: int = 10**6
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.rel_tol) and self.rel_tol >= 1e-13):
             raise ValueError("rel_tol must be finite and >= 1e-13 (below that "
                              "it is not resolvable in doubles)")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):
-            raise ValueError("abs_tol must be finite and > 0")
-        if not _is_integer(self.max_steps) or self.max_steps < 10**3:
-            raise ValueError("max_steps must be an integer >= 1000")
-
-    def halved(self) -> "IntegratorSettings":
-        return IntegratorSettings(
-            rel_tol=max(self.rel_tol / 2.0, 1e-13),
-            abs_tol=self.abs_tol / 2.0,
-            max_steps=self.max_steps,
-        )
 
 
 DEFAULT_SETTINGS = IntegratorSettings()
@@ -175,7 +162,8 @@ class EigenvalueHit:
 
 def _line_potential(spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
     """Fourier modes (2 pi i k, q_hat_k), |k| <= K, of q on the sampling line,
-    K doubled from the Hill cutoff while an end mode exceeds 1e-16 of the largest."""
+    K doubled from the Hill cutoff while an end mode exceeds 1e-16 of the
+    largest (only below Im tau ~ 0.15)."""
     K = _mode_cutoff(spec, 0)
     while True:
         q = _line_modes(spec, K)
@@ -186,7 +174,7 @@ def _line_potential(spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
         K *= 2
         if K > _MAX_LINE_MODES:
             raise ResolutionError(f"potential modes do not decay to 1e-16 by cutoff "
-                                  f"{K // 2} (pole too close to the sampling line)")
+                                  f"{K // 2} (Im tau = {spec.torus.tau.imag:.3g} too small)")
 
 
 def _rk_step(qs: np.ndarray, x: float, h: float, y: np.ndarray,
@@ -241,11 +229,11 @@ def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
     t = 0.0  # distance travelled from x0
     h = 0.01
     nsteps = 0
-    rtol, atol = settings.rel_tol, settings.abs_tol
+    rtol = settings.rel_tol
+    atol = 1e-2 * rtol
     while t < 0.5:
-        if nsteps >= settings.max_steps:
-            raise StepLimitExceeded(f"exceeded {settings.max_steps} steps at "
-                                    f"x={x0 + t:.6f}")
+        if nsteps >= _MAX_STEPS:
+            raise StepLimitExceeded(f"exceeded {_MAX_STEPS} steps at x={x0 + t:.6f}")
         h = min(h, 0.5 - t)
         x = x0 + t
         qs = np.exp(np.multiply.outer(x + _C * h, ik)) @ q_hat
@@ -271,7 +259,7 @@ def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
 
 
 def _pt_symmetric(spec: PotentialSpec) -> bool:
-    """Whether q(x_c - t) = conj q(x_c + t) on the sampling line, x_c = -Re z0.
+    """Whether q(x_c - t) = conj q(x_c + t) on the sampling line, x_c = 0.
 
     Read from the spec, not from the modes: tau on the imaginary axis (wp is
     real on the real axis and even), the trig limit, or a real constant.
@@ -286,16 +274,16 @@ def _half_periods(spec: PotentialSpec, E: np.ndarray, settings: IntegratorSettin
     """States at t = 1/2 of the line from x_c and of the reflected line.
 
     The line's potential is q(x_c + t), the reflected line's q(x_c - t); both
-    start normalized at t = 0.  x_c is -Re z0 or -Re z0 + 1/2, both centres
-    of a PT-symmetric line, whichever has the smaller |q|: a pole next to
-    the start of a half period costs accuracy.  On a PT-symmetric line the
+    start normalized at t = 0.  x_c is 0 or 1/2, both centres of a
+    PT-symmetric line, whichever has the smaller |q|: a pole next to the
+    start of a half period costs accuracy.  On a PT-symmetric line the
     reflected line at E is the conjugate of the line at conj(E), so one
     transport over E u conj(E) (each value once) serves both.  Otherwise the
     reflected line is transported on its own: its modes are the line's
     reversed, from -x_c.
     """
     ik, q_hat = _line_potential(spec)
-    centres = -spec.z0.real + np.array([0.0, 0.5])
+    centres = np.array([0.0, 0.5])
     xc = float(centres[np.argmin(np.abs(np.exp(np.multiply.outer(centres, ik)) @ q_hat))])
     E = np.asarray(E, dtype=complex).ravel()
     if _pt_symmetric(spec):
@@ -430,13 +418,10 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     other form one cluster.  Returns
     (centre, parity, size) triples sorted by centre.
 
-    The line must be PT-symmetric.  Its modes translated to the symmetry
-    centre x_c = -Re z0, p_k = q_hat_k exp(2 pi i k x_c), are real, and the
-    translation is a diagonal unitary similarity: H_mu is a real matrix with
-    the eigenvalues of the untranslated complex one.
+    The line must be PT-symmetric.  It is symmetric about x = 0, so its
+    modes are real and H_mu is a real matrix.
     """
-    phase = np.exp(2j * math.pi * np.arange(-2 * K, 2 * K + 1) * -spec.z0.real)
-    q = (_line_modes(spec, 2 * K) * phase).real.astype(float)
+    q = _line_modes(spec, 2 * K).real.astype(float)
     k = np.arange(-K, K + 1)
     toeplitz = q[2 * K + k[:, None] - k[None, :]]
     clusters = []

@@ -50,7 +50,6 @@ from .potential import (
     MultiplicityVector,
     PotentialSpec,
     genus,
-    line_pole_distance,
     trig_constant,
 )
 
@@ -226,12 +225,13 @@ def _mode_cutoff(spec: PotentialSpec, g: int) -> int:
     """Highest mode carrying chain content above the extended-precision floor.
 
     Chain element u_l has poles of order 2l, hence mode-k content of order
-    k^(2l) exp(-2 pi k d) with d the line-to-pole distance; the cutoff is
-    where that drops below ~1e-21 of its peak for l = g + 1.
+    k^(2l) exp(-2 pi k d) with d = Im tau / 4 the distance from the sampling
+    line tau/4 + [0, 1] to the pole rows; the cutoff is where that drops
+    below ~1e-21 of its peak for l = g + 1.
     """
-    d = line_pole_distance(spec)
-    if not math.isfinite(d):
+    if spec.mode == CONSTANT:
         return 8
+    d = spec.torus.tau.imag / 4.0
     p = 2 * (g + 1)
     k_peak = max(1.0, p / (2.0 * math.pi * d))
     target = 21.0 * math.log(10.0)
@@ -243,13 +243,17 @@ def _mode_cutoff(spec: PotentialSpec, g: int) -> int:
 
 
 def _line_modes(spec: PotentialSpec, k_cut: int) -> np.ndarray:
-    """Closed-form Fourier coefficients of q(z0 + x) on the sampling line.
+    """Closed-form Fourier coefficients of q(tau/4 + x) on the sampling line.
 
+    Every engine samples this line, whatever the spec's z0: sigma(L), Delta,
+    Q and Hill's matrices depend on (n, tau) only, and at Im tau / 4 from
+    both pole rows (Im 0 and Im tau/2) it is the farthest from the poles.
     For 0 < Im s < Im tau the Weierstrass term wp(s + x) expands as
       mode  0:  -2 eta1  (= -pi^2/3 + 8 pi^2 sum m q^m/(1-q^m))
       mode +m:  -4 pi^2 m exp(2 pi i m s) / (1 - q^m)
       mode -m:  -4 pi^2 m q^m exp(-2 pi i m s) / (1 - q^m)
-    with q = exp(2 pi i tau); the trig limit keeps only the upper series.
+    with q = exp(2 pi i tau) and s = tau/4 + w_k/2 (Im s is Im tau / 4 or
+    3 Im tau / 4); the trig limit keeps only the upper series.
     """
     if spec.mode == CONSTANT:
         out = np.zeros(2 * k_cut + 1, dtype=_CLD)
@@ -259,6 +263,8 @@ def _line_modes(spec: PotentialSpec, k_cut: int) -> np.ndarray:
     m = np.arange(1, k_cut + 1, dtype=_LD)
     pi2 = _PI_LD * _PI_LD
     out = np.zeros(2 * k_cut + 1, dtype=_CLD)
+    tau = spec.torus.tau
+    line = tau / 4.0
 
     def expi(w: complex, mm: np.ndarray) -> np.ndarray:
         # exp(2 pi i m w) in extended precision
@@ -266,26 +272,21 @@ def _line_modes(spec: PotentialSpec, k_cut: int) -> np.ndarray:
         return np.exp(mm * base.astype(_CLD))
 
     if spec.mode == TRIG_LIMIT:
-        flip = spec.z0.imag < 0.0  # q is even: expand q(-z0 - x), then reverse
         out[k_cut] = _LD(trig_constant(spec.n))
         for weight, shift in ((spec.n.n0 * (spec.n.n0 + 1), 0.0),
                               (spec.n.n1 * (spec.n.n1 + 1), 0.5)):
             if weight == 0:
                 continue
-            es = expi((-spec.z0 if flip else spec.z0) + shift, m)
-            out[k_cut + 1:] += weight * 4.0 * pi2 * m * es
-        return out[::-1] if flip else out
+            out[k_cut + 1:] += weight * 4.0 * pi2 * m * expi(line + shift, m)
+        return out
 
-    tau = spec.torus.tau
-    b = tau.imag
     qm = expi(tau, m)  # q^m
     half = (0.0, 0.5, tau / 2.0, (1 + tau) / 2.0)
     for k, nk in enumerate(spec.n.as_tuple()):
         if nk < 1:
             continue
         w = nk * (nk + 1)
-        s = spec.z0 + half[k]
-        s = s - math.floor(s.imag / b) * tau
+        s = line + half[k]
         es_p = expi(s, m)
         es_m = expi(tau - s, m)  # q^m exp(-2 pi i m s), bounded at large Im tau
         # -w * wp(s + x)
@@ -309,7 +310,8 @@ def kdv_chain(spec: PotentialSpec, g: int) -> KdVChain:
     if qtail > _TOP_MODE_TOL:
         raise ResolutionError(
             f"potential top-mode ratio {qtail:.2e} exceeds {_TOP_MODE_TOL:.0e} "
-            f"at cutoff {k_cut} (pole too close to the sampling line)")
+            f"at cutoff {k_cut} (Im tau = {spec.torus.tau.imag:.3g} too small "
+            "for the mode window)")
     dq = _deriv_modes(q)
 
     u = [np.zeros(2 * k_cut + 1, dtype=_CLD)]

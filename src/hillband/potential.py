@@ -39,7 +39,7 @@ ELLIPTIC = "elliptic"
 TRIG_LIMIT = "trig_limit"
 CONSTANT = "constant"
 
-# minimum distance (in units of Im tau) from the sampling line to any pole
+# minimum distance (in units of Im tau) from the line z0 + [0, 1] to any pole
 _LINE_POLE_MARGIN = 1e-3
 
 
@@ -99,9 +99,12 @@ class DTVClassification:
 class PotentialSpec:
     """One Hill-operator instance: (n, torus, base point z0, mode).
 
-    In elliptic mode the sampling line {z0 + x : x in [0, 1]} must keep a
-    distance of at least 1e-3 * Im(tau) from every pole of the potential;
-    this is checked at construction time.
+    z0 names the operator L = d^2/dx^2 + q(z0 + x): in elliptic mode the
+    line {z0 + x : x in [0, 1]} must keep a distance of at least
+    1e-3 * Im(tau) from every pole of the potential, checked at
+    construction time.  Its spectrum, Delta and Q depend on (n, tau) only,
+    so no engine reads z0: all of them sample the line tau/4 + [0, 1], the
+    farthest from the poles (see kdv_spectral._line_modes).
     """
 
     n: MultiplicityVector
@@ -149,7 +152,7 @@ class PotentialSpec:
         worst = line_pole_distance(self)
         if worst < margin:
             raise PoleProximity(
-                f"sampling line z0 + [0,1] passes within {worst:.3e} of a pole "
+                f"line z0 + [0,1] passes within {worst:.3e} of a pole "
                 f"(required clearance {margin:.3e}); choose another z0"
             )
 
@@ -164,10 +167,10 @@ def _segment_distance(z0: complex, p: complex) -> float:
 
 
 def line_pole_distance(spec: PotentialSpec) -> float:
-    """Distance from the sampling line z0 + [0, 1] to the nearest pole.
+    """Distance from the line z0 + [0, 1] to the nearest pole.
 
-    Fixes the analyticity strip of the sampled potential, hence the Fourier
-    decay rate exp(-2*pi*k*distance) used to size spectral cutoffs.
+    The clearance check of PotentialSpec reads it; the engines sample
+    tau/4 + [0, 1], whose distance is Im tau / 4.
     """
     if spec.mode == CONSTANT:
         return math.inf

@@ -211,7 +211,7 @@ class TestC5GapCounts:
             ok = ok and signs == [2, -2, -2, 2, 2, 2, 2]
             ok = ok and float(np.max(np.abs(edge - np.array(signs)))) <= 1e-6
         # stability under halved integrator tolerance
-        rep2 = gap_eigenvalue_report(spec, settings.halved())
+        rep2 = gap_eigenvalue_report(spec, IntegratorSettings(rel_tol=settings.rel_tol / 2))
         hits1 = [h.E for gap in rep.gaps for h in gap.interior_hits]
         hits2 = [h.E for gap in rep2.gaps for h in gap.interior_hits]
         shift = max((abs(a - b) for a, b in zip(hits1, hits2)), default=0.0)

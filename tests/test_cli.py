@@ -37,6 +37,16 @@ class TestDisc:
         assert abs(d["delta"][0] + 1.4053926432) < 1e-6
         assert d["det_defect"] < 1e-9
 
+    @pytest.mark.parametrize("e_val", ["1000,0", "1e4,0", "3e5,0"])
+    def test_det_defect_relative_at_large_E(self, capsys, e_val):
+        # |det M - 1| / max(1, max|m_ij|)^2 stays a check of det M = 1 where
+        # the entries of M reach 1e237 (Delta ~ exp(sqrt(E)))
+        code, out, _ = run(capsys, "disc", "--n", "1,0,0,0", "--E", e_val)
+        assert code == 0
+        d = json.loads(out)
+        assert np.isfinite(d["delta"][0]) and abs(d["delta"][0]) > 1e10
+        assert d["det_defect"] <= 1e-12
+
     def test_off_axis_tau(self, capsys):
         # tau = 0.3 + i has no PT-symmetric sampling line: the monodromy is
         # built from the line's half period and the reflected line's
@@ -124,6 +134,19 @@ class TestDeterminism:
         _, a, _ = run(capsys, *argv)
         _, b, _ = run(capsys, *argv)
         assert a == b and len(a.strip().split("\n")) > 10
+
+    @pytest.mark.parametrize("argv, z0", [
+        (("spectrum", "--n", "1,0,0,0"), "0.3,0.002"),
+        (("arcs", "--n", "1,0,0,0", "--window=-8,8,-0.5,0.5", "--res", "96"), "0.3,0.002"),
+        (("gaps", "--n", "2,2,1,0"), "0.1,0.01"),
+    ])
+    def test_z0_does_not_steer_the_numerics(self, capsys, argv, z0):
+        # a base point next to a pole names the same operator; every engine
+        # samples tau/4 + [0, 1], so the output is the default base point's
+        code, want, _ = run(capsys, *argv)
+        assert code == 0 and want
+        code, got, _ = run(capsys, *argv, "--z0", z0)
+        assert code == 0 and got == want
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "q.json"
@@ -252,8 +275,8 @@ class TestOverflow:
     @pytest.mark.parametrize("argv", [
         ["disc", "--n", "1,0,0,0", "--E", "1e6,0"],
         ["arcs", "--n", "1,0,0,0", "--window=-10,1e6,-1,1", "--res", "16"],
-        # Delta ~ 7e237 is finite, but det M's products are not
-        ["disc", "--n", "1,0,0,0", "--E", "3e5,0"],
+        # off the real axis the transport runs over E and conj E
+        ["disc", "--n", "1,0,0,0", "--E", "1e6,5e5"],
     ])
     def test_overflow_is_named(self, argv):
         # Delta ~ exp(sqrt(E)) leaves double precision near E = 5e5; that is

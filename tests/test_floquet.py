@@ -98,21 +98,22 @@ class TestMonodromy:
 
     @pytest.mark.parametrize("kwargs", [
         {"rel_tol": 1e-14}, {"rel_tol": math.inf}, {"rel_tol": math.nan},
-        {"abs_tol": -1.0}, {"abs_tol": 0.0}, {"abs_tol": math.inf},
-        {"abs_tol": math.nan}, {"max_steps": math.nan}, {"max_steps": math.inf},
-        {"max_steps": 2500.0}, {"max_steps": True}, {"max_steps": 999},
+        {"rel_tol": -1.0}, {"rel_tol": 0.0}, {"rel_tol": -math.inf},
+        {"rel_tol": math.nextafter(1e-13, 0.0)}, {"rel_tol": 5e-324},
+        {"rel_tol": -1e-12}, {"rel_tol": -0.0}, {"rel_tol": 1e-100},
+        {"rel_tol": -1e300},
     ])
     def test_bad_tolerance_rejected(self, kwargs):
-        # abs_tol = -1 and rel_tol = inf used to return a wrong Delta, NaN a
-        # misleading step size underflow; max_steps = nan switched the step
-        # limit off
+        # rel_tol = inf used to return a wrong Delta, NaN a misleading step
+        # size underflow; a negative one would flip the error test, and one
+        # below 1e-13 cannot be met in doubles
         with pytest.raises(ValueError):
             IntegratorSettings(**kwargs)
 
-    def test_step_limit(self, const_spec):
-        settings = IntegratorSettings(max_steps=1000)
+    def test_step_limit(self, const_spec, monkeypatch):
+        monkeypatch.setattr(floquet, "_MAX_STEPS", 1000)
         with pytest.raises(StepLimitExceeded):
-            discriminant(const_spec, -1e8, settings)
+            discriminant(const_spec, -1e8)
 
 
 class TestTableau:
@@ -181,7 +182,8 @@ class TestLinePotential:
            im_frac=st.floats(0.05, 0.45))
     def test_stage_potential_matches_wp(self, monkeypatch, ns, b, re_z0, im_frac):
         # every stage potential of an adaptive transport against the nome
-        # series of evaluate_potential, which the transport no longer calls
+        # series of evaluate_potential, which the transport no longer calls,
+        # on the sampling line tau/4 + x whatever z0 the spec carries
         spec = PotentialSpec.elliptic(mv(*ns), 1j * b, complex(re_z0, im_frac * b))
         seen = []
         rk_step = floquet._rk_step
@@ -195,12 +197,13 @@ class TestLinePotential:
             discriminant(spec, 1.0, IntegratorSettings(rel_tol=1e-6))
         x = np.concatenate([xs for xs, _ in seen])
         got = np.concatenate([qs for _, qs in seen])
-        want = evaluate_potential(spec, spec.z0 + x)
+        want = evaluate_potential(spec, spec.torus.tau / 4.0 + x)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_trig_line_below_axis(self):
-        # the trig-limit potential is even, so below the real axis its modes
-        # are those of q(-z0 - x) reversed; Delta does not depend on the line
+        # a base point below the real axis names the same operator; both
+        # specs are sampled on tau/4 + [0, 1], and Delta matches scipy's
+        # transport of the line above the axis
         above = PotentialSpec.trig_limit(mv(1, 1, 0, 0), z0=0.25j)
         below = PotentialSpec.trig_limit(mv(1, 1, 0, 0), z0=0.3 - 0.25j)
         for e_val in (3.0, -20.0 + 1.0j):
@@ -208,22 +211,29 @@ class TestLinePotential:
             assert abs(discriminant(below, e_val) - ref) < 1e-8 * max(1.0, abs(ref))
             assert abs(discriminant(above, e_val) - ref) < 1e-8 * max(1.0, abs(ref))
 
-    def test_near_pole_line_doubles_modes(self, lame_spec):
-        # z0 = 0.3 + 0.002i passes 0.002 from the pole at 0: the modes decay
-        # like exp(-2 pi k 0.002), so the cutoff must double several times
+    def test_near_pole_z0_keeps_the_default_line(self, lame_spec):
+        # z0 = 0.3 + 0.002i passes 0.002 from the pole at 0, but the
+        # engines sample tau/4 + [0, 1]: the default line's modes and Delta
         near = PotentialSpec.elliptic(mv(1, 0, 0, 0), 1j, z0=0.3 + 0.002j)
-        ik, _ = floquet._line_potential(near)
-        assert ik.size > 8 * (2 * floquet._mode_cutoff(near, 0) + 1)
-        # Delta does not depend on z0; this close to a pole the adaptive
-        # transport carries ~5e-7 of noise at the default tolerance
+        ik, q_hat = floquet._line_potential(near)
+        ik_ref, q_ref = floquet._line_potential(lame_spec)
+        assert ik.size == ik_ref.size == 2 * floquet._mode_cutoff(lame_spec, 0) + 1
+        assert np.array_equal(q_hat, q_ref)
         for e_val in (3.0, -5.0):
-            assert abs(discriminant(near, e_val) - discriminant(lame_spec, e_val)) < 1e-6
+            assert discriminant(near, e_val) == discriminant(lame_spec, e_val)
+
+    def test_near_pole_line_doubles_modes(self):
+        # at Im tau = 0.1 the line sits 0.025 from both pole rows: the modes
+        # decay like exp(-2 pi k 0.025), so the cutoff must double
+        spec = PotentialSpec.elliptic(mv(1, 0, 0, 0), 0.1j)
+        ik, _ = floquet._line_potential(spec)
+        assert ik.size == 2 * (2 * floquet._mode_cutoff(spec, 0)) + 1
 
     def test_mode_ceiling_raises(self, monkeypatch):
-        near = PotentialSpec.elliptic(mv(1, 0, 0, 0), 1j, z0=0.3 + 0.002j)
+        spec = PotentialSpec.elliptic(mv(1, 0, 0, 0), 0.05j)
         monkeypatch.setattr(floquet, "_MAX_LINE_MODES", 256)
-        with pytest.raises(ResolutionError):
-            discriminant(near, 3.0)
+        with pytest.raises(ResolutionError, match="Im tau = 0.05"):
+            discriminant(spec, 3.0)
 
     def test_non_finite_modes_raise_at_once(self, lame_spec, monkeypatch):
         calls = []
@@ -264,7 +274,8 @@ def _check_half_period_invariants(spec, e_val, re_shift):
 
 
 def _complex_hill_clusters(spec, K, lo, hi):
-    """_hill_clusters on the complex Toeplitz matrix of the untranslated modes."""
+    """_hill_clusters on the complex Toeplitz matrix of the line's modes,
+    their rounding-level imaginary parts kept."""
     q = floquet._line_modes(spec, 2 * K).astype(complex)
     k = np.arange(-K, K + 1)
     tol = floquet._CLUSTER_TOL
@@ -286,10 +297,11 @@ class TestHalfPeriod:
     line's own transport otherwise (tau off the imaginary axis, a complex
     constant)."""
 
-    # the line keeps 0.15 Im tau from the poles, and Im tau >= 0.8: nearer a
-    # pole the transport carries the noise test_near_pole_line_doubles_modes
-    # bounds at 1e-6, and at Im tau = 0.5 the entries of M reach 1e6 where
-    # Delta = 2, so any transport's Delta carries ~1e-13 |M| (1e-7 there)
+    # the line keeps 0.15 Im tau from the poles, and Im tau >= 0.8: the
+    # scipy oracle integrates the caller's line, and nearer a pole it
+    # carries more noise than the check allows; at Im tau = 0.5 the
+    # entries of M reach 1e6 where Delta = 2, so any transport's Delta
+    # carries ~1e-13 |M| (1e-7 there)
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(ns=st.tuples(*[st.integers(0, 3)] * 4).filter(lambda t: max(t) >= 1),
            tau_re=st.sampled_from([0.0, 0.3]), b=st.floats(0.8, 3.0),
@@ -412,10 +424,10 @@ class TestEigenvalueSearch:
         assert all(h.order_d == 1 for h in hits)
 
     def test_stability_under_halved_tolerance(self, const_spec):
-        settings = IntegratorSettings(rel_tol=1e-10, abs_tol=1e-12)
+        settings = IntegratorSettings(rel_tol=1e-10)
         a = periodic_eigenvalues_on_interval(const_spec, -12.0, 1.0, settings)
         b = periodic_eigenvalues_on_interval(const_spec, -12.0, 1.0,
-                                             settings.halved())
+                                             IntegratorSettings(rel_tol=5e-11))
         for ha, hb in zip(a, b):
             assert abs(ha.E - hb.E) <= 10 * settings.rel_tol * (1.0 + abs(ha.E)) + 1e-9
 

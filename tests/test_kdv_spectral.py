@@ -79,8 +79,10 @@ class TestChain:
             kdv_chain(spec_of((9, 0, 0, 0), 1j), 9)
 
     def test_resolution_error_near_pole(self):
-        spec = PotentialSpec.elliptic(mv(1, 0, 0, 0), 1j, z0=0.002j)
-        with pytest.raises(ResolutionError):
+        # at Im tau = 0.05 the sampling line is 0.0125 from both pole rows,
+        # too close for the 220-mode window
+        spec = PotentialSpec.elliptic(mv(1, 0, 0, 0), 0.05j)
+        with pytest.raises(ResolutionError, match="Im tau = 0.05"):
             kdv_chain(spec, 1)
 
 

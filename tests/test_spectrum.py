@@ -1,5 +1,6 @@
 """Band assembly, gap reports, stability arcs, theorem verdicts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -337,7 +338,7 @@ class TestStabilityRegion:
         pts = np.concatenate(arcs.polylines)
         assert len(pts) >= 8
         d = discriminant_batch(spec, pts[:, 0] + 1j * pts[:, 1],
-                               IntegratorSettings(rel_tol=1e-10, abs_tol=1e-13))
+                               IntegratorSettings(rel_tol=1e-11))
         scale = np.maximum(1.0, np.abs(d))
         assert np.all(np.abs(d.real - pts[:, 2]) <= 1e-8 * scale)
         dist = np.where(np.abs(d.real) <= 2.0, np.abs(d.imag),
@@ -461,6 +462,16 @@ class TestVerifyTheorems:
         v = verify_theorems(PotentialSpec.elliptic(mv(3, 2, 1, 1), 1j))
         assert v["all_pass"] is True
         assert v["details"]["gap_counts"] == [0, 0, 0, 1]
-        # the cusp degenerates at b = 8 for genus 4; the verdict falls back
+        # the cusp degenerates past b = 5 for genus 4, so verify reads b = 5
         assert v["trig_limit_match"] is True
-        assert v["details"]["trig_limit_tau_im"] == 6.0
+        assert v["details"]["trig_limit_tau_im"] == 5.0
+
+    def test_c3c4_vectors_all_pass_at_tau_1_7(self):
+        # every n with n_k <= 3 and n0 = max: the reality dichotomy, the gap
+        # counts and edge signs, duality and the trig limit (at b = 5; at
+        # b = 8 the chain returns a wrong Q for (3,3,k,k) with no error)
+        failed = [
+            tup for tup in itertools.product(range(4), repeat=4)
+            if max(tup) >= 1 and tup[0] == max(tup)
+            and not verify_theorems(PotentialSpec.elliptic(mv(*tup), 1.7j))["all_pass"]]
+        assert failed == []
