@@ -2,9 +2,9 @@
 
 The fundamental pair (c, s) of y'' + q(x) y = E y, normalized at a start
 point, is transported by an adaptive embedded Runge-Kutta 7(8) (Fehlberg's
-13-stage pair), batched: a vector of E values advances in lockstep with a
-shared step.  Only half a period is transported.  Like every engine it
-runs on the sampling line tau/4 + [0, 1] (see kdv_spectral._line_modes),
+13-stage pair), batched: K values of E advance with a shared step.  Only
+half a period is transported.  Like every engine it runs on the sampling
+line tau/4 + [0, 1] (see kdv_spectral._line_modes),
 whatever the spec's base point z0.  With tau in iR that line is
 PT-symmetric about x_c = 0 (and about x_c = 1/2):
 q(x_c - t) = conj q(x_c + t).  One transport over E u conj(E) (real E
@@ -17,13 +17,20 @@ Lines that are not PT-symmetric (tau off iR, a complex constant) transport
 the reflected line q(x_c - t), the reversed modes, for Phi_- instead, at
 the cost of one full period.
 
-The tableau is a dense 13 x 13 matrix, so each stage is one matrix product
-over the stages before it, and the new state and its error estimate are one
-product with the weight rows.  Each stage potential is the sum of the
-closed-form Fourier modes of q on the sampling line (the modes Hill's method
-below reads), never a wp series.  Large E grids are not transported point
-by point: spectrum.stability_region reads every arc point from a guarded
-Chebyshev proxy of Delta fit to a few hundred adaptive samples.
+A step on a few points costs numpy's per-call overhead, not arithmetic,
+and a monodromy is an ordered product of transfer matrices.  So K points go
+in windows of W = _WINDOW // K equal steps (fewer where the modes doubled,
+see _transport): one pass over the dense 13 x 13 tableau (each stage one
+matrix product over those before it) gives every step's map from the
+identity and its error estimate, and the steps before the first rejected
+one are multiplied onto the state pairwise in log2 W levels.  A large
+batch amortises the calls itself, so there W is 1: a plain adaptive step
+from the state, wasting no steps past a rejection.  Stage
+potentials sum the closed-form Fourier modes of q on the sampling line (the
+modes Hill's method reads) with z = exp(2 pi i x) and its powers, never a
+wp series.  Large E grids are not transported point by point:
+spectrum.stability_region reads every arc point from a guarded Chebyshev
+proxy of Delta fit to a few hundred adaptive samples.
 
 Real solutions of Delta = +-2 are not searched for on Delta: they are the
 real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
@@ -103,6 +110,7 @@ _B8 = np.array([
 ])
 
 _NSTAGES = 13
+_EYE = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=complex)  # identity state, rows as in _transport
 
 # dense strictly lower-triangular stage matrix, and the rows (_B8, error)
 _A = np.array([row + [0.0] * (_NSTAGES - len(row)) for row in _A_ROWS])
@@ -112,7 +120,8 @@ _B_ERR[1, [0, 10, 11, 12]] = np.array([1.0, 1.0, -1.0, -1.0]) * 41.0 / 840.0
 
 _CLUSTER_TOL = 1e-6  # relative spread of Hill eigenvalues forming one hit
 _MAX_LINE_MODES = 2**15  # ceiling on the transport's potential mode cutoff
-_MAX_STEPS = 10**6  # attempted steps per adaptive transport
+_MAX_STEPS = 10**6  # step maps per adaptive transport
+_WINDOW = 128  # (step, point) pairs per window of the adaptive transport
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,101 +169,140 @@ class EigenvalueHit:
     residual: float  # |Delta(E) - parity| as measured
 
 
-def _line_potential(spec: PotentialSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Fourier modes (2 pi i k, q_hat_k), |k| <= K, of q on the sampling line,
-    K doubled from the Hill cutoff while an end mode exceeds 1e-16 of the
-    largest (only below Im tau ~ 0.15)."""
+def _line_potential(spec: PotentialSpec) -> np.ndarray:
+    """Fourier modes q_hat_k, |k| <= K, of q on the sampling line, K doubled
+    from the Hill cutoff while an end mode exceeds 1e-16 of the largest (only
+    below Im tau ~ 0.15)."""
     K = _mode_cutoff(spec, 0)
     while True:
         q = _line_modes(spec, K)
         if not np.isfinite(q).all():
             raise TransportOverflow("Fourier modes of the potential are not finite")
         if max(abs(q[0]), abs(q[-1])) <= 1e-16 * np.abs(q).max():
-            return 2j * math.pi * np.arange(-K, K + 1), q.astype(complex)
+            return q.astype(complex)
         K *= 2
         if K > _MAX_LINE_MODES:
             raise ResolutionError(f"potential modes do not decay to 1e-16 by cutoff "
                                   f"{K // 2} (Im tau = {spec.torus.tau.imag:.3g} too small)")
 
 
-def _rk_step(qs: np.ndarray, x: float, h: float, y: np.ndarray,
-             E: np.ndarray, variational: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One RK7(8) step for the batched fundamental system.
+def _line_q(q_hat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """q at real points x of the line with modes q_hat: z = exp(2 pi i x) once
+    per point, z^k by running products, and mode -k takes conj(z^k)."""
+    K = q_hat.size // 2
+    zk = np.repeat(np.exp(2j * math.pi * x)[..., None], K, axis=-1)
+    np.multiply.accumulate(zk, axis=-1, out=zk)
+    return q_hat[K] + zk @ q_hat[K + 1:] + (zk @ q_hat[:K][::-1].conj()).conj()
 
-    y has shape (4, K) or (8, K); qs holds the 13 stage potentials.  Each
-    stage is one product with a row of _A over the stages before it, and
-    the new state and the error estimate are one product with _B_ERR.
-    Returns (y_new, err_vector).
+
+def _step_maps(q_hat: np.ndarray, x: np.ndarray, h: float, E: np.ndarray,
+               y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RK7(8) steps [x_j, x_j + h] for every point of E, all in one pass.
+
+    y0 broadcasts to (rows, W, K), rows 4 or 8 (with the E-derivatives), and
+    holds each step's start state: the identity, so that a step returns its
+    step map, or the running state.  Each stage is one product with a row of
+    h _A over the stages before it, and the new states and their error
+    estimates are one product with h _B_ERR.  Returns (y_new, err).
     """
-    w = E - qs[:, None]
+    shape = (y0.shape[0], x.size, E.size)
+    w = E - _line_q(q_hat, x[:, None] + _C * h).T[..., None]  # (stage, W, K)
     hA = h * _A
-    ks = np.empty((_NSTAGES,) + y.shape, dtype=complex)
+    ks = np.empty((_NSTAGES,) + shape, dtype=complex)
     flat = ks.reshape(_NSTAGES, -1)
-    yi = y
+    yi = y0
     for i in range(_NSTAGES):
         if i:
-            yi = y + (hA[i, :i] @ flat[:i]).reshape(y.shape)
+            yi = y0 + (hA[i, :i] @ flat[:i]).reshape(shape)
         # (u, u')' = (u', w u) for each row pair; the E-derivatives of
         # c' and s' also gain c and s
         ks[i, ::2] = yi[1::2]
         ks[i, 1::2] = w[i] * yi[::2]
-        if variational:
+        if shape[0] == 8:
             ks[i, 5::2] += yi[0:3:2]
-    step, err = (h * _B_ERR @ flat).reshape((2,) + y.shape)
-    return y + step, err
+    step, err = (h * _B_ERR @ flat).reshape((2,) + shape)
+    return y0 + step, err
+
+
+def _compose(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """T P for fundamental matrices in row form (c, c', s, s'[, their
+    E-derivatives]), T = [[c, s], [c', s']] applied after P; d(TP) = dT P + T dP."""
+    def prod(a, b):
+        return np.array([a[0] * b[0] + a[2] * b[1], a[1] * b[0] + a[3] * b[1],
+                         a[0] * b[2] + a[2] * b[3], a[1] * b[2] + a[3] * b[3]])
+
+    if t.shape[0] == 4:
+        return prod(t, p)
+    return np.concatenate([prod(t, p), prod(t[4:], p) + prod(t, p[4:])])
+
+
+def _tree_product(maps: np.ndarray) -> np.ndarray:
+    """T_{n-1} ... T_1 T_0 of maps (rows, n, K), neighbours multiplied
+    pairwise in ceil(log2 n) levels."""
+    while maps.shape[1] > 1:
+        m = maps.shape[1] // 2 * 2
+        maps = np.concatenate([_compose(maps[:, 1:m:2], maps[:, 0:m:2]), maps[:, m:]],
+                              axis=1)
+    return maps[:, 0]
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _transport(ik: np.ndarray, q_hat: np.ndarray, E: np.ndarray,
-               settings: IntegratorSettings, variational: bool,
-               x0: float) -> np.ndarray:
+def _transport(q_hat: np.ndarray, E: np.ndarray, settings: IntegratorSettings,
+               variational: bool, x0: float) -> np.ndarray:
     """Adaptive transport of the fundamental system over [x0, x0 + 1/2].
 
     Returns the final state, shape (4, K) or (8, K) with rows
     (c, c', s, s'[, dc/dE, dc'/dE, ds/dE, ds'/dE]) of the solutions
-    normalized at x0.  A trial step that
-    overflows has a non-finite error norm and is rejected, so overflow ends
-    in step size underflow; it is raised there as TransportOverflow, and
-    the float warnings of the rejected trials are not printed.
+    normalized at x0.  Steps go in windows (see the module docstring); a
+    window of one step starts from the state.  A trial step that overflows
+    has a non-finite error norm and is rejected, so overflow ends in step
+    size underflow; it is raised there as TransportOverflow, as is a window
+    whose product overflows, and the float warnings of the rejected trials
+    are not printed.
     """
     E = np.asarray(E, dtype=complex).ravel()
     K = E.size
     rows = 8 if variational else 4
-    y = np.zeros((rows, K), dtype=complex)
-    y[0] = 1.0
-    y[3] = 1.0
+    y = _EYE[:rows, None] * np.ones(K)
     if K == 0:
         return y
-
-    t = 0.0  # distance travelled from x0
-    h = 0.01
-    nsteps = 0
+    # a window's stage potentials take no more memory than a lone step's at
+    # the mode ceiling
+    width = max(1, min(_WINDOW // K, 2 * _MAX_LINE_MODES // q_hat.size))
+    t, h, nsteps = 0.0, 0.01, 0  # distance travelled from x0, step, step maps
     rtol = settings.rel_tol
     atol = 1e-2 * rtol
     while t < 0.5:
         if nsteps >= _MAX_STEPS:
             raise StepLimitExceeded(f"exceeded {_MAX_STEPS} steps at x={x0 + t:.6f}")
-        h = min(h, 0.5 - t)
-        x = x0 + t
-        qs = np.exp(np.multiply.outer(x + _C * h, ik)) @ q_hat
-        y_new, err = _rk_step(qs, x, h, y, E, variational)
-        ratio = np.abs(err) / (atol + rtol * np.maximum(np.abs(y), np.abs(y_new)))
+        n = min(width, math.ceil((0.5 - t) / h))
+        end = n * h >= 0.5 - t
+        if end:
+            h = (0.5 - t) / n
+        y0 = y[:, None] if n == 1 else _EYE[:rows, None, None]
+        y_new, err = _step_maps(q_hat, x0 + t + h * np.arange(n), h, E, y0)
+        ratio = np.abs(err) / (atol + rtol * np.maximum(np.abs(y0), np.abs(y_new)))
         # RMS over the rows; the worst column governs the shared step
-        norm = math.sqrt((ratio * ratio).sum(axis=0).max() / rows)
-        nsteps += 1
-        if norm <= 1.0:
-            t += h
-            y = y_new
-            factor = 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** (-0.125)))
+        norms = np.sqrt((ratio * ratio).sum(axis=0).max(axis=1) / rows)
+        nsteps += n
+        ok = norms <= 1.0
+        good = n if ok.all() else int(np.argmin(ok))
+        if good:
+            y = y_new[:, 0] if n == 1 else _tree_product(
+                np.concatenate([y[:, None], y_new[:, :good]], axis=1))
+            t = 0.5 if end and good == n else t + good * h
+        norm = float(norms.max() if good == n else norms[good])
+        if good == n:
+            h *= 5.0 if norm == 0.0 else min(5.0, max(0.2, 0.9 * norm ** (-0.125)))
         else:
-            factor = max(0.1, 0.9 * norm ** (-0.125))
-        h *= factor
-        if h < 1e-13:
-            if not math.isfinite(norm):
-                raise TransportOverflow(
-                    f"fundamental solutions overflow double precision at x={x0 + t:.6f} "
-                    f"(|E| up to {float(np.abs(E).max()):.3g})")
-            raise TolFailure("step size underflow in adaptive transport")
+            h *= max(0.1, 0.9 * norm ** (-0.125))
+        finite = n == 1 or bool(np.isfinite(y).all())  # a lone step rejects overflow
+        if h < 1e-13 or not finite:
+            if finite and math.isfinite(norm):
+                raise TolFailure("step size underflow in adaptive transport")
+            raise TransportOverflow(
+                f"fundamental solutions overflow double precision at x={x0 + t:.6f} "
+                f"(|E| up to {float(np.abs(E).max()):.3g})")
     return y
 
 
@@ -282,49 +330,40 @@ def _half_periods(spec: PotentialSpec, E: np.ndarray, settings: IntegratorSettin
     reflected line is transported on its own: its modes are the line's
     reversed, from -x_c.
     """
-    ik, q_hat = _line_potential(spec)
+    q_hat = _line_potential(spec)
     centres = np.array([0.0, 0.5])
-    xc = float(centres[np.argmin(np.abs(np.exp(np.multiply.outer(centres, ik)) @ q_hat))])
+    xc = float(centres[np.argmin(np.abs(_line_q(q_hat, centres)))])
     E = np.asarray(E, dtype=complex).ravel()
     if _pt_symmetric(spec):
         pts, inv = np.unique(np.concatenate([E, E.conj()]), return_inverse=True)
-        y = _transport(ik, q_hat, pts, settings, variational, xc)
+        y = _transport(q_hat, pts, settings, variational, xc)
         return y[:, inv[:E.size]], y[:, inv[E.size:]].conj()
-    return (_transport(ik, q_hat, E, settings, variational, xc),
-            _transport(ik, q_hat[::-1], E, settings, variational, -xc))
+    return (_transport(q_hat, E, settings, variational, xc),
+            _transport(q_hat[::-1], E, settings, variational, -xc))
 
 
 def _monodromy_rows(f: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows (m11, m21, m12, m22) of M = adj(Phi_-) Phi_+.
+    """Rows (m11, m21, m12, m22[, their E-derivatives]) of M = adj(Phi_-) Phi_+.
 
-    Phi_+ (rows f = (c, c', s, s')) is the fundamental matrix at x_c + 1/2
-    and Phi_- = S B S, S = diag(1, -1), the one at x_c - 1/2, where B (rows
-    b) is the reflected line's; adj(S B S) = [[b22, b12], [b21, b11]].
+    Phi_+ (rows f = (c, c', s, s'[, ...])) is the fundamental matrix at
+    x_c + 1/2 and Phi_- = S B S, S = diag(1, -1), the one at x_c - 1/2, where
+    B (rows b) is the reflected line's; adj(S B S) = [[b22, b12], [b21, b11]].
     """
-    return np.array([b[3] * f[0] + b[2] * f[1], b[1] * f[0] + b[0] * f[1],
-                     b[3] * f[2] + b[2] * f[3], b[1] * f[2] + b[0] * f[3]])
+    return _compose(b[[3, 1, 2, 0, 7, 5, 6, 4][:b.shape[0]]], f)
 
 
-def _transport_fixed(qfun, E: np.ndarray, nsteps: int,
+def _transport_fixed(q_hat: np.ndarray, E: np.ndarray, nsteps: int,
                      variational: bool = False) -> np.ndarray:
-    """Fixed-step transport using the 8th-order weights.
+    """Transport over [0, 1] of the line with modes q_hat in nsteps equal
+    steps: one window of step maps and their product tree.
 
-    Stage potentials for all steps are precomputed in one vectorized call.
     No library code calls it any more; bench/layers.json still traces it by
     name, and it goes when that file drops the entry.
     """
     E = np.asarray(E, dtype=complex).ravel()
-    K = E.size
-    rows = 8 if variational else 4
-    y = np.zeros((rows, K), dtype=complex)
-    y[0] = 1.0
-    y[3] = 1.0
-    h = 1.0 / nsteps
-    xs = (np.arange(nsteps)[:, None] + _C[None, :]) * h
-    qs_all = qfun(xs.ravel()).reshape(nsteps, _NSTAGES)
-    for step in range(nsteps):
-        y, _ = _rk_step(qs_all[step], step * h, h, y, E, variational)
-    return y
+    maps, _ = _step_maps(q_hat, np.arange(nsteps) / nsteps, 1.0 / nsteps, E,
+                         _EYE[:8 if variational else 4, None, None])
+    return _tree_product(maps)
 
 
 def monodromy_batch(spec: PotentialSpec, E, settings: Optional[IntegratorSettings] = None,
@@ -339,8 +378,6 @@ def monodromy_batch(spec: PotentialSpec, E, settings: Optional[IntegratorSetting
     f, b = _half_periods(spec, E, settings, variational)
     with np.errstate(over="ignore", invalid="ignore"):
         m = _monodromy_rows(f, b)
-        if variational:
-            m = np.concatenate([m, _monodromy_rows(f[4:], b) + _monodromy_rows(f, b[4:])])
     if not np.isfinite(m).all():
         raise TransportOverflow(
             f"monodromy overflows double precision "
@@ -523,7 +560,8 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
     raised.  The cluster size is the order estimate (2 for a tangential
     touch, 1 for a crossing), and Delta certifies every hit: each is
     polished (see _polish), and a closing residual |Delta - parity| above
-    1e-6 raises TolFailure.  Requires Delta real on [a, b], i.e. a
+    1e-6 raises TolFailure.  A solution within 1e-9 (1 + max(|a|, |b|)) of
+    an end counts as on it.  Requires Delta real on [a, b], i.e. a
     PT-symmetric line (tau on the imaginary axis, trig limit, or real
     constant; see _pt_symmetric).
     """
@@ -546,13 +584,14 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
             f"Hill truncations K = {K} and {2 * K} disagree on [{a}, {b}] "
             f"({len(coarse)} vs {len(fine)} eigenvalue clusters)")
 
-    # Hill's rounding varies with the BLAS thread count: a solution on an end
-    # of [a, b] is taken or dropped on its polished value, not its candidate
+    # Hill's rounding varies with the BLAS thread count, and a polished
+    # solution carries Delta's: one on an end of [a, b] may land either side
+    # of it, so both the candidates and the polished points get the slack
     slack = 1e-9 * (1.0 + reach)
     E0, target, order = np.array(
         [c for c in coarse if a - slack <= c[0] <= b + slack]).reshape(-1, 3).T
     E = _polish(spec, E0, target, order >= 2, settings)[0]
-    inside = (a <= E) & (E <= b)
+    inside = (a - slack <= E) & (E <= b + slack)
     if not inside.any():
         return []
     E, target, order = E[inside], target[inside], order[inside]

@@ -14,7 +14,7 @@ are polished and kept on the same proxy, so Delta is read once per window.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,14 +60,37 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class SpectrumReport:
+    """Q (without the extended-precision copy its root polish read), its
+    roots, and what follows from them: the band intervals or the complex
+    pairs."""
+
     spec: PotentialSpec
     polynomial: SpectralPolynomial
     roots: tuple[RootCluster, ...]
-    all_real_distinct: bool
-    bands: tuple[tuple[Optional[float], float], ...]  # (lo, hi); lo None = -inf
     ray_asymptote: float
-    complex_pairs: tuple[tuple[complex, complex], ...]
     predicted_by_conditions: bool
+
+    @property
+    def all_real_distinct(self) -> bool:
+        return all(r.is_real and r.multiplicity == 1 for r in self.roots)
+
+    @property
+    def bands(self) -> tuple[tuple[Optional[float], float], ...]:
+        """(lo, hi) band intervals, lo None = -inf, if all_real_distinct."""
+        if not self.all_real_distinct:
+            return ()
+        vals = sorted((r.value.real for r in self.roots), reverse=True)  # E_0 > ...
+        g = (len(vals) - 1) // 2
+        return ((None, vals[2 * g]),) + tuple(
+            (vals[2 * j - 1], vals[2 * j - 2]) for j in range(g, 0, -1))
+
+    @property
+    def complex_pairs(self) -> tuple[tuple[complex, complex], ...]:
+        """Each root above the axis with the nearest to its conjugate below."""
+        lower = [r.value for r in self.roots if not r.is_real and r.value.imag < 0]
+        return tuple((r.value, min(lower, key=lambda s: abs(s - r.value.conjugate())))
+                     for r in self.roots
+                     if lower and not r.is_real and r.value.imag > 0)
 
     @property
     def matches_prediction(self) -> bool:
@@ -282,35 +305,10 @@ def classify_spectrum(spec: PotentialSpec,
     poly = spectral_polynomial(spec)
     roots = spectral_roots(poly)
     roots = _resolve_ambiguous_pairs(spec, roots, settings)
-    all_real = all(r.is_real for r in roots)
-    all_simple = all(r.multiplicity == 1 for r in roots)
-    all_real_distinct = all_real and all_simple
-
-    bands: tuple = ()
-    complex_pairs: list[tuple[complex, complex]] = []
-    if all_real_distinct:
-        vals = sorted((r.value.real for r in roots), reverse=True)  # E_0 > ...
-        g = (len(vals) - 1) // 2
-        intervals = [(None, vals[2 * g])]
-        for j in range(g, 0, -1):
-            intervals.append((vals[2 * j - 1], vals[2 * j - 2]))
-        bands = tuple(intervals)
-    else:
-        upper = [r for r in roots if not r.is_real and r.value.imag > 0]
-        lower = [r for r in roots if not r.is_real and r.value.imag < 0]
-        for r in upper:
-            mate = min(lower, key=lambda s: abs(s.value - r.value.conjugate()),
-                       default=None)
-            if mate is not None:
-                complex_pairs.append((r.value, mate.value))
-
     c1, c2 = gap_conditions(spec.n)
-    ray = mean_potential(spec)
     return SpectrumReport(
-        spec=spec, polynomial=poly, roots=tuple(roots),
-        all_real_distinct=all_real_distinct, bands=bands,
-        ray_asymptote=float(ray.real),
-        complex_pairs=tuple(complex_pairs),
+        spec=spec, polynomial=replace(poly, coefficients_extended=None),
+        roots=tuple(roots), ray_asymptote=float(mean_potential(spec).real),
         predicted_by_conditions=c1 or c2,
     )
 
