@@ -261,10 +261,9 @@ def _cmd_verify(args) -> int:
 def _scan_row(spec, with_gaps: bool, settings: IntegratorSettings) -> list:
     report = classify_spectrum(spec, settings)
     disc = poly_discriminant(report.polynomial)
-    flat = []
-    for r in report.roots:
-        flat.extend([r.value.real, r.value.imag] * r.multiplicity)
-    n_complex = sum(r.multiplicity for r in report.roots if not r.is_real)
+    values = report.root_values.tolist()
+    flat = [x for v in values for x in (v.real, v.imag)]
+    n_complex = sum(v.imag != 0.0 for v in values)
     gap_counts = ""
     if with_gaps:
         try:

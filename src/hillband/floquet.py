@@ -58,7 +58,7 @@ from .errors import (
     TransportOverflow,
 )
 from .kdv_spectral import _line_modes, _mode_cutoff
-from .potential import CONSTANT, TRIG_LIMIT, PotentialSpec
+from .potential import PotentialSpec, _pt_symmetric
 
 __all__ = [
     "IntegratorSettings",
@@ -304,17 +304,6 @@ def _transport(q_hat: np.ndarray, E: np.ndarray, settings: IntegratorSettings,
                 f"fundamental solutions overflow double precision at x={x0 + t:.6f} "
                 f"(|E| up to {float(np.abs(E).max()):.3g})")
     return y
-
-
-def _pt_symmetric(spec: PotentialSpec) -> bool:
-    """Whether q(x_c - t) = conj q(x_c + t) on the sampling line, x_c = 0.
-
-    Read from the spec, not from the modes: tau on the imaginary axis (wp is
-    real on the real axis and even), the trig limit, or a real constant.
-    """
-    if spec.mode == CONSTANT:
-        return spec.constant.imag == 0.0
-    return spec.mode == TRIG_LIMIT or spec.torus.tau.real == 0.0
 
 
 def _half_periods(spec: PotentialSpec, E: np.ndarray, settings: IntegratorSettings,

@@ -20,10 +20,17 @@ E samples by interpolation on the scaled domain.
 Numerical layout: the repeated third derivatives amplify mode-k roundoff by
 (2 pi k)^2 per chain step, which in double precision caps the achievable
 termination residual near 1e-7 for genus 3-4 potentials.  The chain therefore
-runs in extended precision (numpy clongdouble) on truncated Fourier
-coefficient vectors: the sampled line potential has closed-form coefficients
-(geometric csc^2 sums, no FFT), products are exact convolutions truncated at
-a content-based cutoff, and only final results are cast back to doubles.
+runs in extended precision on truncated Fourier coefficient vectors: the
+sampled line potential has closed-form coefficients (geometric csc^2 sums,
+no FFT), products are exact convolutions truncated at a content-based
+cutoff, and only final results are cast back to doubles.  A derivative is
+the factor i w on mode k, w = 2 pi k, so the chain runs for r_l = i rho_l,
+rho_l = -1/4 w^3 u + q * (w u) + 1/2 (w q) * u (* the mode convolution),
+u_l = rho_l / w, and Q for F' = i w F: q's modes are the only complex numbers.
+On a PT-symmetric line (q(-x) = conj q(x), as for tau in i R) they are real up to
+extended roundoff (below 1e-17 of the largest), which is dropped, and every
+u_l, F at the real nodes and Q value is exactly real, so the work runs in
+numpy.longdouble, a quarter of clongdouble's multiplies; else in clongdouble.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from .potential import (
     TRIG_LIMIT,
     MultiplicityVector,
     PotentialSpec,
+    _pt_symmetric,
     genus,
     trig_constant,
 )
@@ -82,7 +90,7 @@ class KdVChain:
     """Recursion basis u_0..u_{g+1}, solved constants, and diagnostics.
 
     basis_modes holds u_0..u_{g+1} as extended-precision centered
-    coefficient vectors (modes -k_cut..k_cut).
+    coefficient vectors (modes -k_cut..k_cut), real on a PT-symmetric line.
     """
 
     spec: PotentialSpec
@@ -98,7 +106,8 @@ class KdVChain:
 class SpectralPolynomial:
     """Monic polynomial Q(E), coefficients in descending powers.
 
-    coefficients_extended carries the clongdouble copy used to polish roots;
+    coefficients_extended carries the extended-precision copy used to polish
+    roots, real on a PT-symmetric line (see the module notes), else complex;
     near-degenerate band edges split by less than sqrt(double eps) would
     otherwise surface as spurious conjugate pairs.
     """
@@ -141,24 +150,10 @@ class RootCluster:
 # -- extended-precision coefficient-space helpers ----------------------------
 # centered layout: array index j holds the coefficient of exp(2 pi i (j-K) x)
 
-def _modes_of(arr: np.ndarray) -> np.ndarray:
+def _wavenumbers(arr: np.ndarray) -> np.ndarray:
+    """w = 2 pi k of each mode; a derivative multiplies mode k by i w."""
     k = len(arr) // 2
-    return np.arange(-k, k + 1, dtype=_LD)
-
-
-def _deriv_modes(arr: np.ndarray, order: int = 1) -> np.ndarray:
-    fac = (2j * _PI_LD * _modes_of(arr)) ** order
-    return arr * fac.astype(_CLD)
-
-
-def _antider_modes(arr: np.ndarray) -> np.ndarray:
-    k = len(arr) // 2
-    modes = _modes_of(arr)
-    out = np.zeros_like(arr)
-    nz = modes != 0
-    out[nz] = arr[nz] / (2j * _PI_LD * modes[nz]).astype(_CLD)
-    out[k] = 0.0
-    return out
+    return 2 * _PI_LD * np.arange(-k, k + 1, dtype=_LD)
 
 
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -172,20 +167,19 @@ def _norm(arr: np.ndarray) -> float:
 
 
 def _solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Square solve in clongdouble (Gaussian elimination, partial pivoting)."""
-    a = a.copy()
-    b = b.copy()
+    """Square solve (Gaussian elimination, partial pivoting) in a, b's dtype."""
+    dtype = np.result_type(a, b)
+    a, b = a.astype(dtype), b.astype(dtype)
     m = len(b)
     for col in range(m):
         piv = col + int(np.argmax(np.abs(a[col:, col])))
         if piv != col:
             a[[col, piv]] = a[[piv, col]]
             b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, m):
-            f = a[row, col] / a[col, col]
-            a[row, col:] -= f * a[col, col:]
-            b[row] -= f * b[col]
-    x = np.zeros(m, dtype=_CLD)
+        f = a[col + 1:, col] / a[col, col]
+        a[col + 1:, col:] -= f[:, None] * a[col, col:]
+        b[col + 1:] -= f * b[col]
+    x = np.zeros(m, dtype=dtype)
     for row in range(m - 1, -1, -1):
         x[row] = (b[row] - np.sum(a[row, row + 1:] * x[row + 1:])) / a[row, row]
     return x
@@ -196,12 +190,13 @@ def _lstsq_extended(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     The termination columns become nearly parallel near the trig limit
     (condition numbers up to ~1e13), which double-precision solvers cannot
-    resolve; a tall-skinny QR in clongdouble keeps the residual meaningful.
-    Returns (solution, |R| diagonal).
+    resolve; a tall-skinny QR in extended precision keeps the residual
+    meaningful.  Returns (solution, |R| diagonal).
     """
     m, k = a.shape
-    qmat = np.zeros((m, k), dtype=_CLD)
-    rmat = np.zeros((k, k), dtype=_CLD)
+    dtype = np.result_type(a, b)
+    qmat = np.zeros((m, k), dtype=dtype)
+    rmat = np.zeros((k, k), dtype=dtype)
     for j in range(k):
         v = a[:, j].copy()
         for _ in range(2):
@@ -213,8 +208,8 @@ def _lstsq_extended(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         rmat[j, j] = rjj
         if float(rjj) > 0.0:
             qmat[:, j] = v / rjj
-    rhs = np.array([np.sum(np.conj(qmat[:, i]) * b) for i in range(k)], dtype=_CLD)
-    sol = np.zeros(k, dtype=_CLD)
+    rhs = np.array([np.sum(np.conj(qmat[:, i]) * b) for i in range(k)], dtype=dtype)
+    sol = np.zeros(k, dtype=dtype)
     for i in range(k - 1, -1, -1):
         acc = rhs[i] - np.sum(rmat[i, i + 1:] * sol[i + 1:])
         sol[i] = acc / rmat[i, i] if float(np.abs(rmat[i, i])) > 0.0 else 0.0
@@ -312,26 +307,27 @@ def kdv_chain(spec: PotentialSpec, g: int) -> KdVChain:
             f"potential top-mode ratio {qtail:.2e} exceeds {_TOP_MODE_TOL:.0e} "
             f"at cutoff {k_cut} (Im tau = {spec.torus.tau.imag:.3g} too small "
             "for the mode window)")
-    dq = _deriv_modes(q)
+    if _pt_symmetric(spec):
+        q = q.real.copy()  # the imaginary parts are extended roundoff
+    w = _wavenumbers(q)
 
-    u = [np.zeros(2 * k_cut + 1, dtype=_CLD)]
+    u = [np.zeros(2 * k_cut + 1, dtype=q.dtype)]
     u[0][k_cut] = 1.0
-    r: list[Optional[np.ndarray]] = [None]
+    rho: list[Optional[np.ndarray]] = [None]
     for _ in range(1, g + 2):
         prev = u[-1]
-        r_l = 0.25 * _deriv_modes(prev, 3) + _conv(q, _deriv_modes(prev)) \
-            + 0.5 * _conv(dq, prev)
-        r.append(r_l)
-        u.append(_antider_modes(r_l))
+        rho_l = -0.25 * w**3 * prev + _conv(q, w * prev) + 0.5 * _conv(w * q, prev)
+        rho.append(rho_l)
+        u.append(np.divide(rho_l, w, out=np.zeros_like(rho_l), where=w != 0))
 
-    # termination: r_{g+1} + sum_{j=1..g} d_j r_{g+1-j} = 0, least squares
-    norms = [_norm(r_l) for r_l in r[1:]]
+    # termination: rho_{g+1} + sum_{j=1..g} d_j rho_{g+1-j} = 0, least squares
+    norms = [_norm(rho_l) for rho_l in rho[1:]]
     scale = max(max(norms), 1e-300)
     if g >= 1:
-        cols = np.stack([r[g + 1 - j] for j in range(1, g + 1)], axis=1)
+        cols = np.stack([rho[g + 1 - j] for j in range(1, g + 1)], axis=1)
         col_norms = np.array([max(_norm(cols[:, j]), 1e-300) for j in range(g)])
         a_scaled = cols / col_norms.astype(_LD)
-        rhs = -r[g + 1]
+        rhs = -rho[g + 1]
         sol, rdiag = _lstsq_extended(a_scaled, rhs)
         # near the trig limit the genus-carrying directions shrink like
         # exp(-pi Im tau) but stay far above the extended-precision floor;
@@ -341,13 +337,14 @@ def kdv_chain(spec: PotentialSpec, g: int) -> KdVChain:
                 f"termination QR diagonal {float(min(rdiag)):.2e} signals rank "
                 f"< g = {g}: wrong genus or degenerate tau")
         resid_vec = rhs - a_scaled @ sol
-        d = (sol / col_norms.astype(_LD)).astype(complex)
+        d = sol / col_norms.astype(_LD)
+        d = d.astype(complex if np.iscomplexobj(d) else float)
         resid = _norm(resid_vec) / scale
     else:
-        d = np.zeros(0, dtype=complex)
-        resid = _norm(r[g + 1]) / scale
+        d = np.zeros(0)
+        resid = _norm(rho[g + 1]) / scale
 
-    constants = np.concatenate([[1.0 + 0j], d])
+    constants = np.concatenate([[1.0], d])
     return KdVChain(spec=spec, genus_g=g, k_cut=k_cut, constants=constants,
                     termination_residual=float(resid),
                     basis_modes=tuple(u), q_modes=q)
@@ -355,10 +352,10 @@ def kdv_chain(spec: PotentialSpec, g: int) -> KdVChain:
 
 def _f_modes(chain: KdVChain) -> list[np.ndarray]:
     """f_l = sum_{j=0..l} d_j u_{l-j} for l = 0..g (extended precision)."""
-    d = chain.constants.astype(_CLD)
+    d = chain.constants.astype(chain.q_modes.dtype)
     fs = []
     for ell in range(chain.genus_g + 1):
-        f = np.zeros(2 * chain.k_cut + 1, dtype=_CLD)
+        f = np.zeros_like(chain.q_modes)
         for j in range(ell + 1):
             f += d[j] * chain.basis_modes[ell - j]
         fs.append(f)
@@ -368,8 +365,8 @@ def _f_modes(chain: KdVChain) -> list[np.ndarray]:
 def _assemble_f(fs: list[np.ndarray], E: complex) -> np.ndarray:
     """F(E) = sum_l f_{g-l} E^l from f_0..f_g (extended precision)."""
     g = len(fs) - 1
-    e_ld = _CLD(complex(E))
-    out = np.zeros_like(fs[0])
+    e_ld = _CLD(E) if np.iscomplexobj(E) else _LD(E)
+    out = np.zeros_like(fs[0], dtype=np.result_type(fs[0], e_ld))
     for ell in range(g + 1):
         out += fs[g - ell] * e_ld**ell
     return out
@@ -383,11 +380,11 @@ def product_solution(chain: KdVChain, E: complex) -> np.ndarray:
 def product_ode_residual(chain: KdVChain, E: complex) -> float:
     """Relative residual of F''' = 4 (E - q) F' - 2 q' F at this E."""
     f = _assemble_f(_f_modes(chain), E)
-    f1 = _deriv_modes(f)
-    f3 = _deriv_modes(f, 3)
-    lhs = f3
-    rhs = 4.0 * (_CLD(complex(E)) * f1 - _conv(chain.q_modes, f1)) \
-        - 2.0 * _conv(_deriv_modes(chain.q_modes), f)
+    q = chain.q_modes
+    w = _wavenumbers(f)
+    # both sides divided by i: -w^3 F = 4 (E wF - q * wF) - 2 (w q) * F
+    lhs = -w**3 * f
+    rhs = 4.0 * (E * w * f - _conv(q, w * f)) - 2.0 * _conv(w * q, f)
     denom = max(_norm(lhs), _norm(rhs), 1e-300)
     return _norm(lhs - rhs) / denom
 
@@ -405,6 +402,7 @@ def spectral_polynomial(spec: PotentialSpec) -> SpectralPolynomial:
     fs = _f_modes(chain)
     k_cut = chain.k_cut
     q = chain.q_modes
+    w = _wavenumbers(q)
 
     inv = invariants(spec.torus)
     emax = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
@@ -412,33 +410,29 @@ def spectral_polynomial(spec: PotentialSpec) -> SpectralPolynomial:
     m = 2 * g + 2
     nodes = radius * np.cos(math.pi * (2.0 * np.arange(m) + 1.0) / (2.0 * m))
 
-    q_means_ld = np.empty(m, dtype=_CLD)
+    q_means_ld = np.empty(m, dtype=q.dtype)
     diag = 0.0
     for j, E in enumerate(nodes):
-        e_ld = _CLD(E)
         F = _assemble_f(fs, E)
-        F1 = _deriv_modes(F)
-        F2 = _deriv_modes(F, 2)
+        wF = w * F
         FF = _conv(F, F)
-        qz = 0.25 * _conv(F1, F1) - 0.5 * _conv(F, F2) + e_ld * FF - _conv(q, FF)
-        mean = qz[k_cut]
-        wiggle = qz.copy()
-        wiggle[k_cut] = 0.0
-        q_means_ld[j] = mean
-        diag = max(diag, _norm(wiggle) / (1.0 + abs(complex(mean))))
+        qz = -0.25 * _conv(wF, wF) + 0.5 * _conv(F, w * wF) + _LD(E) * FF \
+            - _conv(q, FF)
+        q_means_ld[j] = qz[k_cut]
+        qz[k_cut] = 0.0  # what remains is the z-dependence
+        diag = max(diag, _norm(qz) / (1.0 + float(abs(q_means_ld[j]))))
     if diag > _CONSTANCY_TOL:
         raise ConstancyFailure(
             f"z-constancy diagnostic {diag:.2e} > {_CONSTANCY_TOL:.0e}")
 
     # interpolate on the scaled domain, then restore powers of the radius
     x_ld = (nodes / radius).astype(_LD)
-    vand = np.zeros((m, m), dtype=_CLD)
+    vand = np.zeros((m, m), dtype=_LD)
     vand[:, m - 1] = 1.0
     for j in range(m - 2, -1, -1):
         vand[:, j] = vand[:, j + 1] * x_ld
     c_scaled = _solve_extended(vand, q_means_ld)
-    powers = (_LD(radius) ** np.arange(m - 1, -1, -1)).astype(_CLD)
-    coeffs_ld = c_scaled / powers
+    coeffs_ld = c_scaled / _LD(radius) ** np.arange(m - 1, -1, -1)
     coeffs_ld = coeffs_ld / coeffs_ld[0]
     coeffs = coeffs_ld.astype(complex)
     return SpectralPolynomial(coefficients=coeffs, z_constancy_diag=diag,

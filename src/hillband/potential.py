@@ -190,6 +190,17 @@ def line_pole_distance(spec: PotentialSpec) -> float:
     return worst
 
 
+def _pt_symmetric(spec: PotentialSpec) -> bool:
+    """Whether q(x_c - t) = conj q(x_c + t) on the sampling line, x_c = 0.
+
+    Read from the spec, not from the modes: tau on the imaginary axis (wp is
+    real on the real axis and even), the trig limit, or a real constant.
+    """
+    if spec.mode == CONSTANT:
+        return spec.constant.imag == 0.0
+    return spec.mode == TRIG_LIMIT or spec.torus.tau.real == 0.0
+
+
 def evaluate_potential(spec: PotentialSpec, z):
     """q(z) for the given spec; scalar or array z, broadcasting over z."""
     zz = np.asarray(z, dtype=complex)

@@ -13,6 +13,7 @@ are polished and kept on the same proxy, so Delta is read once per window.
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -28,7 +29,6 @@ from .floquet import (
     _delta_pass,
     _polish,
     _polish_h,
-    _pt_symmetric,
     discriminant_batch,
     periodic_eigenvalues_on_interval,
 )
@@ -41,6 +41,7 @@ from .kdv_spectral import (
 )
 from .potential import (
     PotentialSpec,
+    _pt_symmetric,
     classify,
     gap_conditions,
     genus,
@@ -66,9 +67,15 @@ class SpectrumReport:
 
     spec: PotentialSpec
     polynomial: SpectralPolynomial
-    roots: tuple[RootCluster, ...]
+    root_values: np.ndarray  # repeated by multiplicity; Im is 0.0 for real roots
     ray_asymptote: float
     predicted_by_conditions: bool
+
+    @property
+    def roots(self) -> tuple[RootCluster, ...]:
+        """Runs of equal root values as clusters."""
+        return tuple(RootCluster(value=v, multiplicity=len(list(run)), is_real=v.imag == 0.0)
+                     for v, run in itertools.groupby(self.root_values.tolist()))
 
     @property
     def all_real_distinct(self) -> bool:
@@ -79,7 +86,7 @@ class SpectrumReport:
         """(lo, hi) band intervals, lo None = -inf, if all_real_distinct."""
         if not self.all_real_distinct:
             return ()
-        vals = sorted((r.value.real for r in self.roots), reverse=True)  # E_0 > ...
+        vals = sorted(self.root_values.real.tolist(), reverse=True)  # E_0 > ...
         g = (len(vals) - 1) // 2
         return ((None, vals[2 * g]),) + tuple(
             (vals[2 * j - 1], vals[2 * j - 2]) for j in range(g, 0, -1))
@@ -99,8 +106,7 @@ class SpectrumReport:
         An unresolved real multiplicity-2 cluster is a band edge pair below
         the discriminant's resolution, not a departure from the real axis.
         """
-        has_complex = any(not r.is_real for r in self.roots)
-        return self.predicted_by_conditions == has_complex
+        return self.predicted_by_conditions == bool(self.root_values.imag.any())
 
     def to_json_dict(self) -> dict:
         d = self.polynomial.to_json_dict()
@@ -306,9 +312,10 @@ def classify_spectrum(spec: PotentialSpec,
     roots = spectral_roots(poly)
     roots = _resolve_ambiguous_pairs(spec, roots, settings)
     c1, c2 = gap_conditions(spec.n)
+    values = np.repeat([r.value for r in roots], [r.multiplicity for r in roots])
     return SpectrumReport(
         spec=spec, polynomial=replace(poly, coefficients_extended=None),
-        roots=tuple(roots), ray_asymptote=float(mean_potential(spec).real),
+        root_values=values, ray_asymptote=float(mean_potential(spec).real),
         predicted_by_conditions=c1 or c2,
     )
 
@@ -334,7 +341,7 @@ def gap_eigenvalue_report(spec: PotentialSpec,
         raise BandStructureMissing(
             "conditions hold for this n; the gap-count structure is undefined")
 
-    vals = sorted((r.value.real for r in report.roots), reverse=True)
+    vals = sorted(report.root_values.real.tolist(), reverse=True)
     g = (len(vals) - 1) // 2
     scale = 1.0 + max(abs(v) for v in vals)
     delta = 1e-6 * scale

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hillband import kdv_spectral
+from hillband import kdv_spectral, spectrum
 from hillband.elliptic import invariants, wp
 from hillband.errors import (
     NotNormalized,
@@ -13,6 +13,7 @@ from hillband.errors import (
     ResolutionError,
     UnsupportedMultiplicity,
 )
+from hillband.floquet import DEFAULT_SETTINGS
 from hillband.kdv_spectral import (
     SpectralPolynomial,
     kdv_chain,
@@ -135,6 +136,51 @@ class TestSpectralPolynomial:
                             lambda spec, g: min(2 * base(spec, g), 220))
         for spec, qa in zip(specs, polys):
             assert rel_coeff_diff(qa, spectral_polynomial(spec)) <= 1e-9
+
+
+class TestRealPath:
+    """On a PT-symmetric line the chain and Q run in real extended precision."""
+
+    def test_dtype_follows_the_line(self):
+        for tau, dtype in ((1j, np.float128), (1.7j, np.float128),
+                           (0.3 + 1j, np.complex256)):
+            spec = spec_of((2, 1, 1, 0), tau)
+            chain = kdv_chain(spec, genus(spec.n))
+            assert {u.dtype for u in chain.basis_modes} == {np.dtype(dtype)}, tau
+            assert spectral_polynomial(spec).coefficients_extended.dtype == dtype
+
+    def test_complex_path_gives_the_same_q(self, monkeypatch):
+        # measured gap 3.4e-12 at (3,3,2,3), tau = 1.7i, where the node
+        # interpolation amplifies extended roundoff; 6.6e-15 or less elsewhere
+        cases = [((2, 2, 1, 0), 1j), ((1, 2, 2, 1), 1j), ((3, 3, 2, 3), 1.7j),
+                 ((3, 0, 0, 3), 0.6j), ((2, 1, 1, 1), 0.6j), ((3, 2, 1, 1), 1.7j)]
+        real = [spectral_polynomial(spec_of(tup, tau)) for tup, tau in cases]
+        monkeypatch.setattr(kdv_spectral, "_pt_symmetric", lambda spec: False)
+        for (tup, tau), qr in zip(cases, real):
+            qc = spectral_polynomial(spec_of(tup, tau))
+            assert qc.coefficients_extended.dtype == np.complex256
+            assert rel_coeff_diff(qr, qc) <= 3.4e-11, (tup, tau)
+
+    def test_line_modes_are_real_on_pt_lines(self):
+        specs = [spec_of(tup, tau) for tup in ((1, 0, 0, 0), (2, 2, 1, 0), (3, 3, 2, 3))
+                 for tau in (0.6j, 1j, 1.7j)]
+        specs.append(PotentialSpec.trig_limit(mv(2, 1, 0, 0)))
+        for spec in specs:
+            q = kdv_spectral._line_modes(spec, kdv_spectral._mode_cutoff(spec, 3))
+            assert np.max(np.abs(q.imag)) <= 1e-17 * np.max(np.abs(q)), spec.n
+
+    def test_double_cluster_round_trips_through_the_report(self):
+        # (2,2,0,0) at tau = 1.7i keeps a real double Delta cannot split
+        spec = spec_of((2, 2, 0, 0), 1.7j)
+        clusters = spectrum._resolve_ambiguous_pairs(
+            spec, spectral_roots(spectral_polynomial(spec)), DEFAULT_SETTINGS)
+        report = spectrum.classify_spectrum(spec)
+        assert report.roots == tuple(clusters)
+        assert any(r.multiplicity == 2 and r.is_real for r in report.roots)
+        assert report.root_values.size == 2 * genus(spec.n) + 1
+        assert report.to_json_dict()["roots"] == [
+            {"re": r.value.real, "im": r.value.imag, "mult": r.multiplicity,
+             "real": r.is_real} for r in clusters]
 
 
 class TestRoots:
