@@ -18,6 +18,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,8 +154,12 @@ def _eta1(torus: TorusParam) -> complex:
     return (math.pi**2 / 6.0) * e2_series
 
 
+@functools.lru_cache(maxsize=64)
 def invariants(torus: TorusParam) -> LatticeInvariants:
     """Lattice invariants g2, g3, half-period values and eta1.
+
+    Cached per torus: TorusParam and the result are frozen, and a sweep
+    asks for the same few tori many times.
 
     g2, g3, eta1 come from the Eisenstein series E4, E6, E2 in q = nome^2;
     the e_k are direct wp evaluations at the half periods.  eta1 uses

@@ -36,10 +36,8 @@ Real solutions of Delta = +-2 are not searched for on Delta: they are the
 real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
 the closed-form Fourier modes of the potential (Deconinck & Kutz, J. Comput.
 Phys. 219, 2006; Curtis & Deconinck, Math. Comp. 79, 2010), real matrices
-on a PT-symmetric line, and Delta only certifies them.  One batched Newton
-polisher (_polish) serves every point that is certified on Delta: these
-eigenvalues, and the band edges that spectrum's adjudication of near-real
-Q root clusters recovers.
+on a PT-symmetric line, and Delta only certifies them, after one batched
+Newton polish (_polish).
 """
 
 from __future__ import annotations
@@ -463,32 +461,8 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     return sorted(clusters)
 
 
-def _polish_h(E: np.ndarray) -> np.ndarray:
-    """Half-width h = 1e-5 (1 + |E|) of _polish's central difference at E."""
-    return 1e-5 * (1.0 + np.abs(E))
-
-
-def _delta_pass(spec: PotentialSpec, E: np.ndarray, h: np.ndarray,
-                stencil: np.ndarray, settings: IntegratorSettings
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Delta, Delta' and Delta'' at real points E from one Delta, Delta' call.
-
-    Delta'' is the central difference of Delta' at E +- h where ``stencil``
-    is true, and 0 elsewhere.
-    """
-    s = np.nonzero(stencil)[0]
-    pts = np.concatenate([E, E[s] + h[s], E[s] - h[s]])
-    dval, dder = discriminant_batch(spec, pts, settings, derivative=True)
-    n, m = E.size, s.size
-    d2 = np.zeros(n)
-    d2[s] = (dder[n:n + m].real - dder[n + m:].real) / (2.0 * h[s])
-    return dval[:n].real, dder[:n].real, d2
-
-
 def _polish(spec: PotentialSpec, E0: np.ndarray, target: np.ndarray,
-            double: np.ndarray, settings: IntegratorSettings,
-            first: Optional[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None,
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            double: np.ndarray, settings: IntegratorSettings) -> np.ndarray:
     """Batched Newton polish of real points on Delta.
 
     Every pass is one Delta, Delta' call over the points still moving.  A
@@ -500,40 +474,30 @@ def _polish(spec: PotentialSpec, E0: np.ndarray, target: np.ndarray,
     1e-13 (1 + |E|).  The extremum objective also finds a minimum where
     Delta = 0 inside a band, which Newton on Delta' = 0 would miss.
     Delta'' is a central difference of Delta' at E +- h,
-    h = _polish_h(E0), and every step is clipped to +-10 h, so callers
-    check their own window afterwards.  ``first`` = (measured, Delta,
-    Delta', Delta'') carries the first pass at E0 for the points where
-    ``measured`` is true, as _delta_pass gives it with this h and
-    stencil = double; the first call then transports only the rest.
-    Returns the points with Delta, Delta' and Delta'' (0 for crossings)
-    from each point's last pass.
+    h = 1e-5 (1 + |E0|), and every step is clipped to +-10 h, so callers
+    check their own window afterwards.  Returns the polished points.
     """
     E = E0.astype(float).copy()
-    h = _polish_h(E)
-    if first is None:
-        measured = np.zeros(E.size, dtype=bool)
-        delta, d1, d2 = np.zeros((3, E.size))
-    else:
-        measured = first[0].copy()
-        delta, d1, d2 = (np.where(measured, v, 0.0) for v in first[1:])
+    h = 1e-5 * (1.0 + np.abs(E))
     live = np.ones(E.size, dtype=bool)
     for _ in range(10):
         idx = np.nonzero(live)[0]
         if not idx.size:
             break
-        fresh = idx[~measured[idx]]
-        if fresh.size:
-            delta[fresh], d1[fresh], d2[fresh] = _delta_pass(
-                spec, E[fresh], h[fresh], double[fresh], settings)
-        measured[:] = False
         dbl = double[idx]
-        f = np.where(dbl, delta[idx] * d1[idx], delta[idx] - target[idx])
-        fp = np.where(dbl, d1[idx] ** 2 + delta[idx] * d2[idx], d1[idx])
+        s = idx[dbl]
+        dval, dder = discriminant_batch(spec, np.concatenate([E[idx], E[s] + h[s], E[s] - h[s]]),
+                                        settings, derivative=True)
+        n = idx.size
+        delta, d1, d2 = dval[:n].real, dder[:n].real, np.zeros(n)
+        d2[dbl] = (dder[n:n + s.size].real - dder[n + s.size:].real) / (2.0 * h[s])
+        f = np.where(dbl, delta * d1, delta - target[idx])
+        fp = np.where(dbl, d1 ** 2 + delta * d2, d1)
         step = np.divide(f, fp, out=np.zeros(idx.size), where=np.abs(fp) > 1e-300)
         E[idx] -= np.clip(step, -10.0 * h[idx], 10.0 * h[idx])
         stop = np.where(dbl, 1e-13, 1e-8) * (1.0 + np.abs(E[idx]))
         live[idx] = np.abs(step) > stop
-    return E, delta, d1, d2
+    return E
 
 
 def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
@@ -579,7 +543,7 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
     slack = 1e-9 * (1.0 + reach)
     E0, target, order = np.array(
         [c for c in coarse if a - slack <= c[0] <= b + slack]).reshape(-1, 3).T
-    E = _polish(spec, E0, target, order >= 2, settings)[0]
+    E = _polish(spec, E0, target, order >= 2, settings)
     inside = (a - slack <= E) & (E <= b + slack)
     if not inside.any():
         return []

@@ -35,6 +35,7 @@ numpy.longdouble, a quarter of clongdouble's multiplies; else in clongdouble.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -106,13 +107,14 @@ class KdVChain:
 class SpectralPolynomial:
     """Monic polynomial Q(E), coefficients in descending powers.
 
-    coefficients_extended carries the extended-precision copy used to polish
-    roots, real on a PT-symmetric line (see the module notes), else complex;
-    near-degenerate band edges split by less than sqrt(double eps) would
-    otherwise surface as spurious conjugate pairs.
+    Both copies are real on a PT-symmetric line (see the module notes), else
+    complex: coefficients in float64 or complex128, and coefficients_extended
+    in extended precision, which polishes the roots; near-degenerate band
+    edges split by less than sqrt(double eps) would otherwise surface as
+    spurious conjugate pairs.  spectral_roots casts coefficients to complex.
     """
 
-    coefficients: np.ndarray  # (2g+2,) complex, coefficients[0] == 1
+    coefficients: np.ndarray  # (2g+2,), coefficients[0] == 1
     z_constancy_diag: float
     tau: Optional[complex]
     n: MultiplicityVector
@@ -158,8 +160,7 @@ def _wavenumbers(arr: np.ndarray) -> np.ndarray:
 
 def _conv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact product of two centered mode vectors, truncated to the window."""
-    k = len(a) // 2
-    return np.convolve(a, b)[k: 3 * k + 1]
+    return np.convolve(a, b, "same")
 
 
 def _norm(arr: np.ndarray) -> float:
@@ -434,10 +435,53 @@ def spectral_polynomial(spec: PotentialSpec) -> SpectralPolynomial:
     c_scaled = _solve_extended(vand, q_means_ld)
     coeffs_ld = c_scaled / _LD(radius) ** np.arange(m - 1, -1, -1)
     coeffs_ld = coeffs_ld / coeffs_ld[0]
-    coeffs = coeffs_ld.astype(complex)
+    coeffs = coeffs_ld.astype(complex if np.iscomplexobj(coeffs_ld) else float)
     return SpectralPolynomial(coefficients=coeffs, z_constancy_diag=diag,
                               tau=spec.torus.tau, n=spec.n,
                               coefficients_extended=coeffs_ld)
+
+
+def _heun_blocks(spec: PotentialSpec) -> list[np.ndarray]:
+    """Eigenvalues of the operator on each of Takemura's invariant spaces.
+
+    With t = wp(x), alpha_i in {-n_i/2, (n_i + 1)/2} (i = 1..3), sigma in
+    {n_0/2, -(n_0 + 1)/2} and d = sigma - sum alpha_i a non-negative integer,
+    y = prod (t - e_i)^alpha_i Z(t), deg Z <= d, is invariant (Heun polynomials;
+    Takemura, Commun. Math. Phys. 235 (2003) 467-494): y'' = (E - q) y becomes
+    P Z'' + B Z' + (r1 t + r0) Z = E Z, P = 4 prod (t - e_i) = 4 t^3 + p1 t + p0,
+    B = sum (8 alpha_i + 2)(t^2 + e_i t + e_j e_k), a four-diagonal block on
+    the basis t^j.  The sizes sum to 2g + 1 and the eigenvalues are the band
+    edges, the roots of Q; on a PT-symmetric line every block is real.
+    """
+    inv = invariants(spec.torus)
+    e = np.array([inv.e1, inv.e2, inv.e3])
+    if _pt_symmetric(spec):
+        e = e.real
+    n0, *ns = spec.n.as_tuple()
+    big_n = np.array([k * (k + 1) for k in ns], dtype=float)
+    jj, kk = [1, 0, 0], [2, 2, 1]  # the pair (j, k) beside each i
+    ee = e[jj] * e[kk]
+    p1, p0 = 4.0 * ee.sum(), -4.0 * e.prod()
+    blocks = []
+    for alpha in itertools.product(*((-k / 2, (k + 1) / 2) for k in ns)):
+        a = np.array(alpha)
+        aa = a[jj] * a[kk]
+        b = 8.0 * a + 2.0
+        r1 = (big_n + 4.0 * a).sum() + 8.0 * aa.sum() - n0 * (n0 + 1)
+        r0 = ((big_n + 2.0 * a) * e).sum() - 8.0 * (aa * e).sum()
+        for sigma in (n0 / 2, -(n0 + 1) / 2):
+            d = sigma - a.sum()
+            if d < 0 or d % 1:
+                continue
+            j = np.arange(int(d) + 1)
+            jj1 = j * (j - 1)
+            m = np.zeros((j.size, j.size), dtype=e.dtype)
+            m[j, j] = b @ e * j + r0
+            m[j[1:], j[:-1]] = (4 * jj1 + b.sum() * j + r1)[:-1]
+            m[j[:-1], j[1:]] = (p1 * jj1 + b @ ee * j)[1:]
+            m[j[:-2], j[2:]] = (p0 * jj1)[2:]
+            blocks.append(np.linalg.eigvals(m))
+    return blocks
 
 
 def _polish_roots(coeffs_ld: np.ndarray, approx: np.ndarray) -> np.ndarray:
@@ -473,7 +517,8 @@ def spectral_roots(poly: SpectralPolynomial) -> list[RootCluster]:
     |Im E| <= 1e-6 * scale.  Ordering: descending real part, then descending
     imaginary part, so an all-real spectrum lists E_0 > E_1 > ... > E_2g.
     """
-    raw = np.roots(poly.coefficients)
+    coeffs = poly.coefficients.astype(complex)
+    raw = np.roots(coeffs)
     if poly.coefficients_extended is not None:
         raw = _polish_roots(poly.coefficients_extended, raw)
     scale = 1.0 + float(np.abs(raw).max()) if raw.size else 1.0
@@ -487,19 +532,15 @@ def spectral_roots(poly: SpectralPolynomial) -> list[RootCluster]:
         else:
             clusters.append([r])
 
-    dpoly = np.polyder(poly.coefficients)
-    abs_coeff = np.abs(poly.coefficients)
+    vals = np.array([np.mean(grp) for grp in clusters], dtype=complex)
+    mults = [len(grp) for grp in clusters]
+    cond = (np.polyval(np.abs(coeffs), np.abs(vals))
+            / np.maximum(np.abs(np.polyval(np.polyder(coeffs), vals)), 1e-300)
+            / np.maximum(np.abs(vals), 1.0))
     out = []
-    for grp in clusters:
-        val = complex(np.mean(grp))
-        mult = len(grp)
-        if mult == 1:
-            cond = float(np.polyval(abs_coeff, abs(val))
-                         / max(abs(np.polyval(dpoly, val)), 1e-300)
-                         / max(abs(val), 1.0))
-            if cond > _ROOT_COND_LIMIT:
-                raise IllConditioned(
-                    f"root {val} condition number {cond:.2e} > {_ROOT_COND_LIMIT:.0e}")
+    for val, mult, c in zip(vals.tolist(), mults, cond):
+        if mult == 1 and c > _ROOT_COND_LIMIT:
+            raise IllConditioned(f"root {val} condition number {c:.2e} > {_ROOT_COND_LIMIT:.0e}")
         is_real = abs(val.imag) <= _ROOT_MERGE_TOL * scale
         if is_real:
             val = complex(val.real, 0.0)

@@ -1,21 +1,22 @@
 """Spectral picture assembly: bands, gap eigenvalue counts, stability arcs.
 
 Ties the other modules together: roots of the spectral polynomial give the
-band edges (when real and distinct; root clusters too close to the real
-axis for Q's coefficients to resolve are adjudicated against Delta with
-the shared batched polisher floquet._polish), Hill's method finds the interior
-(anti)periodic eigenvalues of each bounded band interval (E_{2j-1}, E_{2j-2})
-and the discriminant certifies them, and a marching-squares pass over
-Im Delta = 0, on a guarded Chebyshev proxy of Delta, recovers the
-conditional stability set as polylines in the complex E plane; their points
-are polished and kept on the same proxy, so Delta is read once per window.
+band edges (when real and distinct; for root clusters too close to the real
+axis for Q's coefficients to resolve, Takemura's Heun blocks propose the
+two edges and one plain Delta call certifies them), Hill's method finds the
+interior (anti)periodic eigenvalues of each bounded band interval
+(E_{2j-1}, E_{2j-2}) and the discriminant certifies them, and a
+marching-squares pass over Im Delta = 0, on a guarded Chebyshev proxy of
+Delta, recovers the conditional stability set as polylines in the complex E
+plane; their points are polished and kept on the same proxy, so Delta is
+read once per window.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,15 +27,13 @@ from .floquet import (
     DEFAULT_SETTINGS,
     EigenvalueHit,
     IntegratorSettings,
-    _delta_pass,
-    _polish,
-    _polish_h,
     discriminant_batch,
     periodic_eigenvalues_on_interval,
 )
 from .kdv_spectral import (
     RootCluster,
     SpectralPolynomial,
+    _heun_blocks,
     spectral_polynomial,
     spectral_roots,
     trig_spectral_polynomial,
@@ -61,15 +60,32 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class SpectrumReport:
-    """Q (without the extended-precision copy its root polish read), its
-    roots, and what follows from them: the band intervals or the complex
-    pairs."""
+    """Q's coefficients and roots, and what follows from them: the band
+    intervals or the complex pairs.
+
+    Only what a caller cannot recompute cheaply is stored (a sweep keeps one
+    report per vector); the polynomial, the ray asymptote and the gap
+    conditions' prediction are derived from the fields.
+    """
 
     spec: PotentialSpec
-    polynomial: SpectralPolynomial
+    coefficients: np.ndarray  # Q's, descending; float64 on a PT-symmetric line
+    z_constancy_diag: float
     root_values: np.ndarray  # repeated by multiplicity; Im is 0.0 for real roots
-    ray_asymptote: float
-    predicted_by_conditions: bool
+
+    @property
+    def polynomial(self) -> SpectralPolynomial:
+        return SpectralPolynomial(coefficients=self.coefficients,
+                                  z_constancy_diag=self.z_constancy_diag,
+                                  tau=self.spec.torus.tau, n=self.spec.n)
+
+    @property
+    def ray_asymptote(self) -> float:
+        return float(mean_potential(self.spec).real)
+
+    @property
+    def predicted_by_conditions(self) -> bool:
+        return any(gap_conditions(self.spec.n))
 
     @property
     def roots(self) -> tuple[RootCluster, ...]:
@@ -183,31 +199,21 @@ class ArcSet:
 
 
 def _resolve_ambiguous_pairs(spec, roots, settings):
-    """Let the discriminant adjudicate root clusters hugging the real axis.
+    """Band edges for root clusters hugging the real axis, certified by Delta.
 
     Exponentially narrow bands split band-edge pairs by less than the
     spectral polynomial's coefficient accuracy can resolve, so such pairs
     surface as conjugate pairs with a spurious small imaginary part, or as
     real doubles.  Pairs with |Im| > 1e-4 * scale are far above coefficient
-    noise and are never touched.  All clusters of one call share one
-    batched polish (see floquet._polish), and one batched Delta, Delta'
-    call on the stencil [c, c + h, c - h] of their centres c, with the
-    polish's own h, which gives Delta'' at c as well:
-
-    * |Delta(centre)| < 1.9: the cluster straddles a band whose edges are
-      transversal crossings of Delta = -+2, steep for narrow bands.  Each
-      is polished from its linear prediction and certified by a sign
-      change of Delta - target across E -+ 0.1 / |Delta'|; the 0.1 margin
-      matches the 1.9 threshold that certified Delta(centre).
-    * otherwise the extremum f* of f = Delta^2 - 4 near the centre decides.
-      The polish starts at the centre, and the stencil call is its first
-      pass.  f* < 0 with f'' = 2 Delta'^2 + 2 Delta Delta'' > 0 is a band
-      of half-width sqrt(-2 f* / f''); f* > 0 with f'' < 0 is a gap of
-      that half-width between two bands.  Either way the cluster becomes
-      the two real edges E* -+ sqrt(-2 f* / f'').
-
-    A cluster whose polished points leave its window, whose |f*| is below
-    1e-8, or whose split is below float resolution stays as it was.
+    noise and are never touched.  Every edge is an eigenvalue of one of
+    Takemura's Heun blocks (kdv_spectral._heun_blocks), and the two edges of
+    a near-double pair come from different blocks, so each is simple there.
+    A cluster whose window holds exactly two block eigenvalues, both real,
+    takes them as its candidate edges lo < hi.  One plain Delta call at lo,
+    hi and mid = (lo + hi) / 2 of every candidate pair certifies them: the
+    cluster splits iff ||Delta| - 2| is larger at mid than at either edge
+    (a band or a gap lies between them) and |Delta(mid)^2 - 4| >= 1e-8.
+    Any other cluster stays as it was.  Delta certifies; it does not search.
     """
     if not _pt_symmetric(spec):
         return roots
@@ -241,46 +247,21 @@ def _resolve_ambiguous_pairs(spec, roots, settings):
     if not clusters:
         return roots
 
-    centre = np.array([c[1] for c in clusters])
-    window = np.array([c[2] for c in clusters])
-    # the stencil _polish would transport first at an extremum cluster
-    d0, slope, curv = _delta_pass(spec, centre, _polish_h(centre),
-                                  np.ones(centre.size, dtype=bool), settings)
-    crossing = (np.abs(d0) < 1.9) & (np.abs(slope) > 1e-300)
-    cross, ext = np.nonzero(crossing)[0], np.nonzero(~crossing)[0]
-    nc = 2 * cross.size
-    # a straddled band has Delta = lower_t below its centre and -lower_t above
-    owner = np.concatenate([cross, cross, ext])
-    oc = owner[:nc]
-    lower_t = -2.0 * np.sign(slope[cross])
-    target = np.concatenate([lower_t, -lower_t, np.zeros(ext.size)])
-    start = np.concatenate([centre[oc] - (d0[oc] - target[:nc]) / slope[oc],
-                            centre[ext]])
-    double = np.arange(owner.size) >= nc
-    E, dval, dder, d2 = _polish(spec, start, target, double, settings,
-                                first=(double, d0[owner], slope[owner], curv[owner]))
-    ok = np.abs(E - centre[owner]) <= window[owner]
-    if nc:
-        margin = np.minimum(0.1 / np.maximum(np.abs(dder[:nc]), 1e-300),
-                            window[oc])
-        f_pm = discriminant_batch(spec, np.concatenate([E[:nc] - margin,
-                                                        E[:nc] + margin]),
-                                  settings).real - np.tile(target[:nc], 2)
-        ok[:nc] &= f_pm[:nc] * f_pm[nc:] < 0.0
-    f_star = dval[nc:] ** 2 - 4.0
-    f2 = 2.0 * dder[nc:] ** 2 + 2.0 * dval[nc:] * d2[nc:]
-    half = np.sqrt(np.divide(-2.0 * f_star, f2, out=np.zeros(ext.size),
-                             where=f_star * f2 < 0.0))
-    ok[nc:] &= ((np.abs(f_star) >= 1e-8) & (f_star * f2 < 0.0)
-                & (half > 1e-12 * (1.0 + np.abs(E[nc:]))))
-
-    edges = {}
-    for k, c in enumerate(cross):
-        if ok[k] and ok[cross.size + k]:
-            edges[c] = sorted((E[k], E[cross.size + k]))
-    for k, c in enumerate(ext):
-        if ok[nc + k]:
-            edges[c] = [E[nc + k] - half[k], E[nc + k] + half[k]]
+    eig = np.concatenate(_heun_blocks(spec))
+    owner, pairs = [], []
+    for c, (_, centre, window) in enumerate(clusters):
+        near = eig[np.abs(eig - centre) <= window]
+        if near.size == 2 and not near.imag.any():
+            owner.append(c)
+            pairs.append(np.sort(near.real))
+    if not pairs:
+        return roots
+    lo, hi = np.array(pairs).T
+    d_lo, d_hi, d_mid = discriminant_batch(
+        spec, np.concatenate([lo, hi, 0.5 * (lo + hi)]), settings).real.reshape(3, -1)
+    dist_lo, dist_hi, dist_mid = np.abs(np.abs([d_lo, d_hi, d_mid]) - 2.0)
+    split = (dist_mid > np.maximum(dist_lo, dist_hi)) & (np.abs(d_mid ** 2 - 4.0) >= 1e-8)
+    edges = {c: pair for c, pair, ok in zip(owner, pairs, split) if ok}
     if not edges:
         return roots
 
@@ -304,20 +285,16 @@ def classify_spectrum(spec: PotentialSpec,
     """Roots of Q, band intervals per the real-distinct case, complex pairs.
 
     Near-real conjugate pairs within coefficient noise of the axis, and real
-    doubles, are adjudicated against the discriminant (see
-    _resolve_ambiguous_pairs).
+    doubles, take their edges from the Heun blocks when one plain Delta call
+    certifies them (see _resolve_ambiguous_pairs); at most one Delta call
+    per spec, none for a spec without such clusters.
     """
     settings = settings or DEFAULT_SETTINGS
     poly = spectral_polynomial(spec)
-    roots = spectral_roots(poly)
-    roots = _resolve_ambiguous_pairs(spec, roots, settings)
-    c1, c2 = gap_conditions(spec.n)
+    roots = _resolve_ambiguous_pairs(spec, spectral_roots(poly), settings)
     values = np.repeat([r.value for r in roots], [r.multiplicity for r in roots])
-    return SpectrumReport(
-        spec=spec, polynomial=replace(poly, coefficients_extended=None),
-        root_values=values, ray_asymptote=float(mean_potential(spec).real),
-        predicted_by_conditions=c1 or c2,
-    )
+    return SpectrumReport(spec=spec, coefficients=poly.coefficients,
+                          z_constancy_diag=poly.z_constancy_diag, root_values=values)
 
 
 def gap_eigenvalue_report(spec: PotentialSpec,

@@ -421,20 +421,15 @@ class TestDerivative:
 
 
 class TestPolish:
-    def test_partial_first_pass(self, spec_2210, monkeypatch):
+    def test_batch_matches_single_points(self, spec_2210, monkeypatch):
         # crossings (Delta = +-2) and doubles (extrema of Delta^2 - 4: the
         # touch at -46.68, the Delta = 0 minima at 15.45 and -20.53, the
-        # maximum at 43.88), with the first pass known for some of each
+        # maximum at 43.88) polished in one batch and one at a time
         E0 = np.array([-46.67759, -3.45584, 15.44506, 4.93499, -20.53190,
                        20.62556, 43.87949, 55.00149])
         target = np.array([0.0, 2.0, 0.0, 2.0, 0.0, -2.0, 0.0, -2.0])
         double = target == 0.0
-        measured = np.arange(E0.size) % 3 != 2
         cfg = IntegratorSettings()
-        first = np.zeros((3, E0.size))
-        first[:, measured] = floquet._delta_pass(
-            spec_2210, E0[measured], floquet._polish_h(E0[measured]),
-            double[measured], cfg)
         sizes = []
         original = floquet.discriminant_batch
 
@@ -443,16 +438,15 @@ class TestPolish:
             return original(spec, E, *args, **kwargs)
 
         monkeypatch.setattr(floquet, "discriminant_batch", counting)
-        plain = floquet._polish(spec_2210, E0, target, double, cfg)
-        plain_sizes = sizes[:]
-        sizes.clear()
-        part = floquet._polish(spec_2210, E0, target, double, cfg,
-                               first=(measured, *first))
-        # the first call transports only the unmeasured double at 15.45 with
-        # its stencil and the unmeasured crossing at 20.63; rounding may
-        # cost a double one pass more than the plain run
-        assert sizes[0] == 4 and len(sizes) <= len(plain_sizes) + 1
-        assert np.all(np.abs(part[0] - plain[0]) <= 1e-12 * (1.0 + np.abs(plain[0])))
+        batch = floquet._polish(spec_2210, E0, target, double, cfg)
+        # the first call carries every point and the doubles' stencils, and
+        # a later call only the points still moving
+        assert sizes[0] == 16 and sizes == sorted(sizes, reverse=True)
+        single = np.concatenate([
+            floquet._polish(spec_2210, E0[k:k + 1], target[k:k + 1],
+                            double[k:k + 1], cfg) for k in range(E0.size)])
+        # measured 2.7e-14 relative at most
+        assert np.all(np.abs(batch - single) <= 3e-13 * (1.0 + np.abs(single)))
 
 
 class TestMultiplicity:

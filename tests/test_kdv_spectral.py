@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hillband import kdv_spectral, spectrum
 from hillband.elliptic import invariants, wp
@@ -343,3 +345,93 @@ class TestDiscriminant:
     def test_real_for_imaginary_tau(self, spec_2210):
         disc = poly_discriminant(spectral_polynomial(spec_2210))
         assert abs(disc.imag) <= 1e-6 * abs(disc)
+
+
+def hill_eigenvalues(spec, reach):
+    """Every eigenvalue of Hill's truncated H_0 and H_pi (Delta = +2, -2),
+    built here from the line's Fourier modes; Q and the blocks play no part."""
+    K = 2 * max(kdv_spectral._mode_cutoff(spec, 0), math.ceil(2.0 * math.sqrt(reach) / math.pi))
+    q = kdv_spectral._line_modes(spec, 2 * K).real.astype(float)
+    k = np.arange(-K, K + 1)
+    toeplitz = q[2 * K + k[:, None] - k[None, :]]
+    return np.concatenate([np.linalg.eigvals(toeplitz - np.diag((2.0 * math.pi * k + mu) ** 2))
+                           for mu in (0.0, math.pi)])
+
+
+class TestHeunBlocks:
+    """Band edges as eigenvalues of Takemura's invariant-space blocks."""
+
+    @pytest.mark.parametrize("b", [0.6, 1.0, 1.7])
+    def test_lame_edges_are_the_half_period_values(self, b):
+        spec = spec_of((1, 0, 0, 0), 1j * b)
+        inv = invariants(spec.torus)
+        blocks = kdv_spectral._heun_blocks(spec)
+        assert [blk.size for blk in blocks] == [1, 1, 1]
+        assert sorted(np.concatenate(blocks).tolist()) == sorted(
+            [inv.e1.real, inv.e2.real, inv.e3.real])
+
+    @pytest.mark.parametrize("b", [0.6, 1.0, 1.7])
+    def test_2000_closed_form(self, b):
+        # n0 = 2: the edges -3 e_i (y = sqrt((wp - e_j)(wp - e_k)), with the
+        # operator's y'' = (E - q) y, q = -6 wp) and +-sqrt(3 g2)
+        spec = spec_of((2, 0, 0, 0), 1j * b)
+        inv = invariants(spec.torus)
+        got = np.sort(np.concatenate(kdv_spectral._heun_blocks(spec)).real)
+        root = math.sqrt(3.0 * inv.g2.real)
+        expected = np.sort([-3.0 * inv.e1.real, -3.0 * inv.e2.real, -3.0 * inv.e3.real,
+                            root, -root])
+        assert np.max(np.abs(got - expected)) <= 1e-12 * (1.0 + root)
+
+    def test_sizes_sum_to_degree_on_c3c4_runs(self):
+        import itertools
+        for tup, b in itertools.product(itertools.product(range(4), repeat=4), (0.6, 1.0, 1.7)):
+            if max(tup) < 1 or tup[0] != max(tup):
+                continue
+            blocks = kdv_spectral._heun_blocks(spec_of(tup, 1j * b))
+            assert sum(blk.size for blk in blocks) == 2 * genus(mv(*tup)) + 1, (tup, b)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(ns=st.tuples(*[st.integers(0, 3)] * 4).filter(
+               lambda t: max(t) >= 1 and sum(t) % 2 == 1),
+           b=st.floats(0.6, 2.0))
+    def test_dual_has_the_same_spectrum(self, ns, b):
+        # Takemura duality: n and its dual share the spectral curve; measured
+        # at most 1.3e-14 * scale over this range (29 values of b)
+        a = np.concatenate(kdv_spectral._heun_blocks(spec_of(ns, 1j * b)))
+        d = np.concatenate(kdv_spectral._heun_blocks(
+            PotentialSpec.elliptic(takemura_dual(mv(*ns)), 1j * b)))
+        assert a.size == d.size
+        # each eigenvalue of either side within the bound of one of the other
+        dist = np.abs(a[:, None] - d[None, :])
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12 * (1.0 + np.abs(a).max())
+
+    @pytest.mark.parametrize("tup,b", [
+        ((3, 3, 2, 3), 1.7), ((3, 2, 3, 3), 0.6), ((3, 3, 3, 2), 1.7), ((3, 0, 3, 0), 0.6),
+        ((2, 2, 0, 0), 1.7), ((3, 3, 1, 0), 1.7), ((2, 2, 1, 0), 1.0), ((1, 0, 0, 0), 1.0),
+        ((2, 0, 0, 0), 1.0), ((3, 2, 2, 2), 0.6), ((3, 1, 1, 0), 1.0), ((1, 2, 2, 1), 1.0),
+        ((3, 0, 3, 2), 0.6)])
+    def test_edges_match_hill(self, tup, b):
+        # every block eigenvalue, real or not, is an eigenvalue of H_0 or
+        # H_pi; the largest gap measured is 5.0e-10 * scale at (2,2,0,0),
+        # 1.7i, where Hill's nonsymmetric matrices resolve near-double
+        # eigenvalues worst, and 1.7e-10 at (3,3,2,3), 1.7i
+        spec = spec_of(tup, 1j * b)
+        edges = np.concatenate(kdv_spectral._heun_blocks(spec))
+        reach = float(np.abs(edges).max())
+        hill = hill_eigenvalues(spec, reach)
+        gap = np.abs(edges[:, None] - hill[None, :]).min(axis=1).max()
+        assert gap <= 5e-9 * (1.0 + reach)
+
+    @pytest.mark.parametrize("tau", [0.3 + 1j, 0.5 + 0.9j])
+    @pytest.mark.parametrize("tup", [(2, 2, 1, 0), (1, 2, 2, 1), (3, 1, 1, 0), (0, 1, 2, 3)])
+    def test_off_axis_tau_matches_q(self, tup, tau):
+        # complex e_i and complex blocks off the imaginary axis, against the
+        # KdV chain's Q; measured at most 1.1e-12 * scale, at (3,1,1,0)
+        spec = spec_of(tup, tau)
+        edges = np.concatenate(kdv_spectral._heun_blocks(spec))
+        roots = np.array([r.value for r in spectral_roots(spectral_polynomial(spec))
+                          for _ in range(r.multiplicity)])
+        dist = np.abs(edges[:, None] - roots[None, :])
+        assert edges.size == roots.size
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1.1e-11 * (
+            1.0 + np.abs(roots).max())

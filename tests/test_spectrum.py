@@ -105,22 +105,23 @@ class TestClassifySpectrum:
 
 
 class TestAdjudication:
-    """Each outcome of the Delta adjudication of near-real Q clusters.
+    """Each outcome of the block-and-Delta adjudication of near-real Q clusters.
 
     Reference roots (re, im, multiplicity) are recorded to 13 digits; every
     root must keep its multiplicity and reality and stay within 1e-9 * scale.
     """
 
     CASES = [
-        # a real double at E ~ 768 straddles a micro band: crossing split
+        # a real double at E ~ 768 straddles a micro band: two block edges,
+        # Delta at their midpoint well inside (-2, 2)
         ((3, 0, 3, 0), 0.6, [
             (767.7849887457, 0.0, 1), (767.7849887421, 0.0, 1),
             (219.4736964487, 0.0, 1), (219.4736120208, 0.0, 1),
             (-109.3641526796, 0.0, 1), (-109.6622837894, 0.0, 1),
             (-219.1755653428, 0.0, 1)]),
-        # Delta(centre) ~ -0.012 at E ~ 713: a crossing split (a condition
-        # vector, so C3/C4 do not check it; the extremum path through the
-        # Delta = 0 minimum here is test_extremum_through_delta_zero)
+        # a micro band at E ~ 713 split by two block edges (a condition
+        # vector, so C3/C4 do not check it; test_extremum_through_delta_zero
+        # moves the cluster centre there)
         ((3, 0, 3, 2), 0.6, [
             (713.0805624241, 0.0, 1), (713.0805624141, 0.0, 1),
             (164.8143078433, 0.0, 1), (164.813885659, 0.0, 1),
@@ -156,8 +157,9 @@ class TestAdjudication:
     @pytest.mark.parametrize("offset", [3e-8, -3e-8, 1e-7])
     def test_extremum_through_delta_zero(self, offset):
         # a real double placed where Delta reads +11.9, -12.0 or +39.8 is
-        # split on the extremum path: Newton on Delta Delta' = 0 finds the
-        # Delta = 0 minimum of Delta^2 - 4 inside the micro band at E ~ 713
+        # split all the same: its window holds the same two block edges, and
+        # Delta near 0 at their midpoint, inside the micro band at E ~ 713,
+        # is farther from +-2 than at either edge
         spec = PotentialSpec.elliptic(mv(3, 0, 3, 2), 0.6j)
         roots = [r for r in spectral_roots(spectral_polynomial(spec))
                  if abs(r.value - 713.08) > 1.0]
@@ -173,26 +175,21 @@ class TestAdjudication:
     @pytest.mark.parametrize("tup,b", [((3, 0, 3, 0), 0.6), ((3, 3, 1, 0), 1.7),
                                        ((2, 2, 0, 0), 1.7)])
     def test_delta_calls_bounded(self, tup, b, monkeypatch):
-        # one batched stencil call at the cluster centres, which is also the
-        # polish's first pass at an extremum cluster, the remaining polish
-        # passes and, for crossings, one bracket call; per-cluster scalar
-        # Newton loops made 8 to 16
+        # the Heun blocks propose the edges and one plain Delta call at the
+        # edges and midpoints of every candidate pair certifies them
         from hillband import floquet, spectrum
 
         calls = []
         original = floquet.discriminant_batch
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("derivative", args[3] if len(args) > 3 else False))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(floquet, "discriminant_batch", counting)
         monkeypatch.setattr(spectrum, "discriminant_batch", counting)
         classify_spectrum(PotentialSpec.elliptic(mv(*tup), 1j * b))
-        if b == 0.6:  # a crossing op: stencil, one polish pass, bracket
-            assert 0 < len(calls) <= 3
-        else:  # extremum clusters only: the stencil and one more pass
-            assert len(calls) == 2
+        assert calls == [False]
 
 
 class TestGapReport:
@@ -261,6 +258,36 @@ class TestResultSlots:
         assert len({type(r) for r in results}) == 9
         for result in results:
             assert not hasattr(result, "__dict__"), type(result).__name__
+
+    def test_sweep_report_retains_little(self):
+        # a sweep keeps one report per vector: Q's float64 coefficients on
+        # the PT line, its root values, the spec it shares with the caller
+        # and one float, 530-550 bytes a report as measured here; keeping the
+        # SpectralPolynomial and complex coefficients read 716-725.  The
+        # first pass fills every cache; the collector runs only between the
+        # passes, so the freed buffers of both are traced alike
+        import gc
+        import tracemalloc
+
+        specs = [PotentialSpec.elliptic(mv(*tup), 1j * b) for b in (1.0, 1.7)
+                 for tup in itertools.product(range(4), repeat=4)
+                 if max(tup) >= 1 and tup[0] == max(tup)]
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            warm = [classify_spectrum(spec) for spec in specs]
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            kept = [classify_spectrum(spec) for spec in specs]
+            gc.collect()
+            per_report = (tracemalloc.get_traced_memory()[0] - base) / len(kept)
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert len(warm) == len(kept) == 198
+        assert per_report <= 600.0, per_report
 
 
 class TestStabilityRegion:
