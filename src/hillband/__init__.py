@@ -4,6 +4,7 @@ from .elliptic import LatticeInvariants, TorusParam, invariants, wp, wp_prime
 from .errors import (
     BandStructureMissing,
     ConstancyFailure,
+    DiscriminantOverflow,
     HillbandError,
     IllConditioned,
     NotAnEigenvalue,
@@ -23,7 +24,6 @@ from .floquet import (
     IntegratorSettings,
     Monodromy,
     discriminant,
-    discriminant_derivative,
     monodromy,
     multiplicity_estimate,
     periodic_eigenvalues_on_interval,

@@ -12,7 +12,7 @@ import math
 import sys
 
 from . import _serialize as ser
-from .errors import HillbandError
+from .errors import DiscriminantOverflow, HillbandError
 from .floquet import IntegratorSettings, monodromy
 from .kdv_spectral import poly_discriminant, spectral_polynomial, spectral_roots
 from .potential import MultiplicityVector, PotentialSpec, classify
@@ -260,7 +260,11 @@ def _cmd_verify(args) -> int:
 
 def _scan_row(spec, with_gaps: bool, settings: IntegratorSettings) -> list:
     report = classify_spectrum(spec, settings)
-    disc = poly_discriminant(report.polynomial)
+    try:
+        disc = poly_discriminant(report.polynomial)
+        disc_re, disc_im = disc.real, disc.imag
+    except DiscriminantOverflow:
+        disc_re = disc_im = "n/a"
     values = report.root_values.tolist()
     flat = [x for v in values for x in (v.real, v.imag)]
     n_complex = sum(v.imag != 0.0 for v in values)
@@ -272,7 +276,7 @@ def _scan_row(spec, with_gaps: bool, settings: IntegratorSettings) -> list:
         except HillbandError:
             gap_counts = "n/a"
     return [spec.torus.tau.imag, report.all_real_distinct,
-            n_complex // 2, disc.real, disc.imag, gap_counts] + flat
+            n_complex // 2, disc_re, disc_im, gap_counts] + flat
 
 
 def _cmd_scan(args) -> int:

@@ -30,7 +30,8 @@ class StepLimitExceeded(HillbandError):
 
 
 class TolFailure(HillbandError):
-    """Root polishing did not converge to the requested tolerance."""
+    """A Hill eigenvalue fails its Delta certificate, or the adaptive
+    transport's step size underflows."""
 
 
 class TransportOverflow(HillbandError):
@@ -51,6 +52,10 @@ class RankDeficiency(HillbandError):
 
 class ConstancyFailure(HillbandError):
     """Wronskian-square values varied along z beyond tolerance."""
+
+
+class DiscriminantOverflow(HillbandError):
+    """The discriminant of Q exceeds double precision (|disc| > e^700)."""
 
 
 class IllConditioned(HillbandError):

@@ -36,8 +36,8 @@ Real solutions of Delta = +-2 are not searched for on Delta: they are the
 real eigenvalues of the Floquet-Fourier-Hill matrices H_0 and H_pi built from
 the closed-form Fourier modes of the potential (Deconinck & Kutz, J. Comput.
 Phys. 219, 2006; Curtis & Deconinck, Math. Comp. 79, 2010), real matrices
-on a PT-symmetric line, and Delta only certifies them, after one batched
-Newton polish (_polish).
+on a PT-symmetric line, and one plain Delta call certifies them where
+Hill's matrices put them.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "monodromy_batch",
     "discriminant",
     "discriminant_batch",
-    "discriminant_derivative",
     "multiplicity_estimate",
     "periodic_eigenvalues_on_interval",
 ]
@@ -108,7 +107,7 @@ _B8 = np.array([
 ])
 
 _NSTAGES = 13
-_EYE = np.array([1, 0, 0, 1, 0, 0, 0, 0], dtype=complex)  # identity state, rows as in _transport
+_EYE = np.array([1, 0, 0, 1], dtype=complex)  # identity state, rows (c, c', s, s')
 
 # dense strictly lower-triangular stage matrix, and the rows (_B8, error)
 _A = np.array([row + [0.0] * (_NSTAGES - len(row)) for row in _A_ROWS])
@@ -197,11 +196,11 @@ def _step_maps(q_hat: np.ndarray, x: np.ndarray, h: float, E: np.ndarray,
                y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """RK7(8) steps [x_j, x_j + h] for every point of E, all in one pass.
 
-    y0 broadcasts to (rows, W, K), rows 4 or 8 (with the E-derivatives), and
-    holds each step's start state: the identity, so that a step returns its
-    step map, or the running state.  Each stage is one product with a row of
-    h _A over the stages before it, and the new states and their error
-    estimates are one product with h _B_ERR.  Returns (y_new, err).
+    y0 broadcasts to (4, W, K), rows (c, c', s, s'), and holds each step's
+    start state: the identity, so that a step returns its step map, or the
+    running state.  Each stage is one product with a row of h _A over the
+    stages before it, and the new states and their error estimates are one
+    product with h _B_ERR.  Returns (y_new, err).
     """
     shape = (y0.shape[0], x.size, E.size)
     w = E - _line_q(q_hat, x[:, None] + _C * h).T[..., None]  # (stage, W, K)
@@ -212,26 +211,18 @@ def _step_maps(q_hat: np.ndarray, x: np.ndarray, h: float, E: np.ndarray,
     for i in range(_NSTAGES):
         if i:
             yi = y0 + (hA[i, :i] @ flat[:i]).reshape(shape)
-        # (u, u')' = (u', w u) for each row pair; the E-derivatives of
-        # c' and s' also gain c and s
+        # (u, u')' = (u', w u) for each row pair
         ks[i, ::2] = yi[1::2]
         ks[i, 1::2] = w[i] * yi[::2]
-        if shape[0] == 8:
-            ks[i, 5::2] += yi[0:3:2]
     step, err = (h * _B_ERR @ flat).reshape((2,) + shape)
     return y0 + step, err
 
 
 def _compose(t: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """T P for fundamental matrices in row form (c, c', s, s'[, their
-    E-derivatives]), T = [[c, s], [c', s']] applied after P; d(TP) = dT P + T dP."""
-    def prod(a, b):
-        return np.array([a[0] * b[0] + a[2] * b[1], a[1] * b[0] + a[3] * b[1],
-                         a[0] * b[2] + a[2] * b[3], a[1] * b[2] + a[3] * b[3]])
-
-    if t.shape[0] == 4:
-        return prod(t, p)
-    return np.concatenate([prod(t, p), prod(t[4:], p) + prod(t, p[4:])])
+    """T P for fundamental matrices in row form (c, c', s, s'),
+    T = [[c, s], [c', s']] applied after P."""
+    return np.array([t[0] * p[0] + t[2] * p[1], t[1] * p[0] + t[3] * p[1],
+                     t[0] * p[2] + t[2] * p[3], t[1] * p[2] + t[3] * p[3]])
 
 
 def _tree_product(maps: np.ndarray) -> np.ndarray:
@@ -246,22 +237,20 @@ def _tree_product(maps: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _transport(q_hat: np.ndarray, E: np.ndarray, settings: IntegratorSettings,
-               variational: bool, x0: float) -> np.ndarray:
+               x0: float) -> np.ndarray:
     """Adaptive transport of the fundamental system over [x0, x0 + 1/2].
 
-    Returns the final state, shape (4, K) or (8, K) with rows
-    (c, c', s, s'[, dc/dE, dc'/dE, ds/dE, ds'/dE]) of the solutions
-    normalized at x0.  Steps go in windows (see the module docstring); a
-    window of one step starts from the state.  A trial step that overflows
-    has a non-finite error norm and is rejected, so overflow ends in step
-    size underflow; it is raised there as TransportOverflow, as is a window
-    whose product overflows, and the float warnings of the rejected trials
-    are not printed.
+    Returns the final state, shape (4, K) with rows (c, c', s, s') of the
+    solutions normalized at x0.  Steps go in windows (see the module
+    docstring); a window of one step starts from the state.  A trial step
+    that overflows has a non-finite error norm and is rejected, so overflow
+    ends in step size underflow; it is raised there as TransportOverflow, as
+    is a window whose product overflows, and the float warnings of the
+    rejected trials are not printed.
     """
     E = np.asarray(E, dtype=complex).ravel()
     K = E.size
-    rows = 8 if variational else 4
-    y = _EYE[:rows, None] * np.ones(K)
+    y = _EYE[:, None] * np.ones(K)
     if K == 0:
         return y
     # a window's stage potentials take no more memory than a lone step's at
@@ -277,11 +266,11 @@ def _transport(q_hat: np.ndarray, E: np.ndarray, settings: IntegratorSettings,
         end = n * h >= 0.5 - t
         if end:
             h = (0.5 - t) / n
-        y0 = y[:, None] if n == 1 else _EYE[:rows, None, None]
+        y0 = y[:, None] if n == 1 else _EYE[:, None, None]
         y_new, err = _step_maps(q_hat, x0 + t + h * np.arange(n), h, E, y0)
         ratio = np.abs(err) / (atol + rtol * np.maximum(np.abs(y0), np.abs(y_new)))
         # RMS over the rows; the worst column governs the shared step
-        norms = np.sqrt((ratio * ratio).sum(axis=0).max(axis=1) / rows)
+        norms = np.sqrt((ratio * ratio).sum(axis=0).max(axis=1) / 4)
         nsteps += n
         ok = norms <= 1.0
         good = n if ok.all() else int(np.argmin(ok))
@@ -304,8 +293,8 @@ def _transport(q_hat: np.ndarray, E: np.ndarray, settings: IntegratorSettings,
     return y
 
 
-def _half_periods(spec: PotentialSpec, E: np.ndarray, settings: IntegratorSettings,
-                  variational: bool) -> tuple[np.ndarray, np.ndarray]:
+def _half_periods(spec: PotentialSpec, E: np.ndarray,
+                  settings: IntegratorSettings) -> tuple[np.ndarray, np.ndarray]:
     """States at t = 1/2 of the line from x_c and of the reflected line.
 
     The line's potential is q(x_c + t), the reflected line's q(x_c - t); both
@@ -323,24 +312,23 @@ def _half_periods(spec: PotentialSpec, E: np.ndarray, settings: IntegratorSettin
     E = np.asarray(E, dtype=complex).ravel()
     if _pt_symmetric(spec):
         pts, inv = np.unique(np.concatenate([E, E.conj()]), return_inverse=True)
-        y = _transport(q_hat, pts, settings, variational, xc)
+        y = _transport(q_hat, pts, settings, xc)
         return y[:, inv[:E.size]], y[:, inv[E.size:]].conj()
-    return (_transport(q_hat, E, settings, variational, xc),
-            _transport(q_hat[::-1], E, settings, variational, -xc))
+    return (_transport(q_hat, E, settings, xc),
+            _transport(q_hat[::-1], E, settings, -xc))
 
 
 def _monodromy_rows(f: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Rows (m11, m21, m12, m22[, their E-derivatives]) of M = adj(Phi_-) Phi_+.
+    """Rows (m11, m21, m12, m22) of M = adj(Phi_-) Phi_+.
 
-    Phi_+ (rows f = (c, c', s, s'[, ...])) is the fundamental matrix at
+    Phi_+ (rows f = (c, c', s, s')) is the fundamental matrix at
     x_c + 1/2 and Phi_- = S B S, S = diag(1, -1), the one at x_c - 1/2, where
     B (rows b) is the reflected line's; adj(S B S) = [[b22, b12], [b21, b11]].
     """
-    return _compose(b[[3, 1, 2, 0, 7, 5, 6, 4][:b.shape[0]]], f)
+    return _compose(b[[3, 1, 2, 0]], f)
 
 
-def _transport_fixed(q_hat: np.ndarray, E: np.ndarray, nsteps: int,
-                     variational: bool = False) -> np.ndarray:
+def _transport_fixed(q_hat: np.ndarray, E: np.ndarray, nsteps: int) -> np.ndarray:
     """Transport over [0, 1] of the line with modes q_hat in nsteps equal
     steps: one window of step maps and their product tree.
 
@@ -349,20 +337,20 @@ def _transport_fixed(q_hat: np.ndarray, E: np.ndarray, nsteps: int,
     """
     E = np.asarray(E, dtype=complex).ravel()
     maps, _ = _step_maps(q_hat, np.arange(nsteps) / nsteps, 1.0 / nsteps, E,
-                         _EYE[:8 if variational else 4, None, None])
+                         _EYE[:, None, None])
     return _tree_product(maps)
 
 
-def monodromy_batch(spec: PotentialSpec, E, settings: Optional[IntegratorSettings] = None,
-                    variational: bool = False) -> np.ndarray:
+def monodromy_batch(spec: PotentialSpec, E,
+                    settings: Optional[IntegratorSettings] = None) -> np.ndarray:
     """Monodromy matrices over one period from x_c, for a vector of E.
 
-    Rows (m11, m21, m12, m22[, their E-derivatives]): the columns (c, s) of
-    the fundamental system normalized at x_c, one period on.  Each is built
-    from two half periods about x_c (see _half_periods, _monodromy_rows).
+    Rows (m11, m21, m12, m22): the columns (c, s) of the fundamental system
+    normalized at x_c, one period on.  Each is built from two half periods
+    about x_c (see _half_periods, _monodromy_rows).
     """
     settings = settings or DEFAULT_SETTINGS
-    f, b = _half_periods(spec, E, settings, variational)
+    f, b = _half_periods(spec, E, settings)
     with np.errstate(over="ignore", invalid="ignore"):
         m = _monodromy_rows(f, b)
     if not np.isfinite(m).all():
@@ -380,27 +368,17 @@ def monodromy(spec: PotentialSpec, E: complex,
                      m21=complex(y[1, 0]), m22=complex(y[3, 0]))
 
 
-def discriminant_batch(spec: PotentialSpec, E, settings: Optional[IntegratorSettings] = None,
-                       derivative: bool = False):
-    """Delta(E) (and optionally dDelta/dE) for a vector of E values."""
-    y = monodromy_batch(spec, E, settings, variational=derivative)
-    delta = y[0] + y[3]
-    if derivative:
-        return delta, y[4] + y[7]
-    return delta
+def discriminant_batch(spec: PotentialSpec, E,
+                       settings: Optional[IntegratorSettings] = None) -> np.ndarray:
+    """Delta(E) for a vector of E values."""
+    y = monodromy_batch(spec, E, settings)
+    return y[0] + y[3]
 
 
 def discriminant(spec: PotentialSpec, E: complex,
                  settings: Optional[IntegratorSettings] = None) -> complex:
     """Hill discriminant Delta(E) = tr M(E)."""
     return complex(discriminant_batch(spec, [E], settings)[0])
-
-
-def discriminant_derivative(spec: PotentialSpec, E: complex,
-                            settings: Optional[IntegratorSettings] = None) -> complex:
-    """dDelta/dE via the variational system integrated with the pair."""
-    _, d = discriminant_batch(spec, [E], settings, derivative=True)
-    return complex(d[0])
 
 
 def multiplicity_estimate(spec: PotentialSpec, E: complex,
@@ -461,62 +439,26 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     return sorted(clusters)
 
 
-def _polish(spec: PotentialSpec, E0: np.ndarray, target: np.ndarray,
-            double: np.ndarray, settings: IntegratorSettings) -> np.ndarray:
-    """Batched Newton polish of real points on Delta.
-
-    Every pass is one Delta, Delta' call over the points still moving.  A
-    crossing runs Newton on Delta = target and stops once its step is at
-    most 1e-8 (1 + |E|): Newton converges quadratically, so the next step
-    would be negligible.  A double (``double`` true; target unused) runs
-    Newton on an extremum of Delta^2 - 4, i.e. on Delta Delta' = 0 with
-    derivative Delta'^2 + Delta Delta'', and stops at a step of
-    1e-13 (1 + |E|).  The extremum objective also finds a minimum where
-    Delta = 0 inside a band, which Newton on Delta' = 0 would miss.
-    Delta'' is a central difference of Delta' at E +- h,
-    h = 1e-5 (1 + |E0|), and every step is clipped to +-10 h, so callers
-    check their own window afterwards.  Returns the polished points.
-    """
-    E = E0.astype(float).copy()
-    h = 1e-5 * (1.0 + np.abs(E))
-    live = np.ones(E.size, dtype=bool)
-    for _ in range(10):
-        idx = np.nonzero(live)[0]
-        if not idx.size:
-            break
-        dbl = double[idx]
-        s = idx[dbl]
-        dval, dder = discriminant_batch(spec, np.concatenate([E[idx], E[s] + h[s], E[s] - h[s]]),
-                                        settings, derivative=True)
-        n = idx.size
-        delta, d1, d2 = dval[:n].real, dder[:n].real, np.zeros(n)
-        d2[dbl] = (dder[n:n + s.size].real - dder[n + s.size:].real) / (2.0 * h[s])
-        f = np.where(dbl, delta * d1, delta - target[idx])
-        fp = np.where(dbl, d1 ** 2 + delta * d2, d1)
-        step = np.divide(f, fp, out=np.zeros(idx.size), where=np.abs(fp) > 1e-300)
-        E[idx] -= np.clip(step, -10.0 * h[idx], 10.0 * h[idx])
-        stop = np.where(dbl, 1e-13, 1e-8) * (1.0 + np.abs(E[idx]))
-        live[idx] = np.abs(step) > stop
-    return E
-
-
 def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
                                      settings: Optional[IntegratorSettings] = None,
                                      ) -> list[EigenvalueHit]:
     """All real solutions of Delta = +2 and Delta = -2 in [a, b].
 
-    Candidates are the eigenvalues of the Floquet-Fourier-Hill matrices H_0
-    and H_pi (see _hill_clusters), built from the closed-form Fourier modes of
-    the sampled potential.  The truncation K comes from the potential's mode
-    decay, raised so that (2 pi K)^2 >= 16 max(|a|, |b|); the candidates at K
-    and at 2K must agree in a slightly widened window, or ResolutionError is
-    raised.  The cluster size is the order estimate (2 for a tangential
-    touch, 1 for a crossing), and Delta certifies every hit: each is
-    polished (see _polish), and a closing residual |Delta - parity| above
-    1e-6 raises TolFailure.  A solution within 1e-9 (1 + max(|a|, |b|)) of
-    an end counts as on it.  Requires Delta real on [a, b], i.e. a
-    PT-symmetric line (tau on the imaginary axis, trig limit, or real
-    constant; see _pt_symmetric).
+    The solutions are the centres of the real eigenvalue clusters of the
+    Floquet-Fourier-Hill matrices H_0 and H_pi (see _hill_clusters), built
+    from the closed-form Fourier modes of the sampled potential.  The
+    truncation K comes from the potential's mode decay, raised so that
+    (2 pi K)^2 >= 16 max(|a|, |b|); the clusters at K and at 2K must agree
+    in a slightly widened window, or ResolutionError is raised.  The cluster
+    size is the order estimate (2 for a tangential touch, 1 for a crossing).
+    One plain Delta call certifies every hit where Hill put it, or raises
+    TolFailure: a double needs |Delta - parity| <= 1e-6 at its centre, a
+    crossing a sign change of Delta - parity across E -+ h,
+    h = _CLUSTER_TOL (1 + |E|) / 4 (other solutions of its parity are at
+    least 4 h away, or they would share its cluster).  A solution within
+    1e-9 (1 + max(|a|, |b|)) of an end counts as on it.  Requires Delta real
+    on [a, b], i.e. a PT-symmetric line (tau on the imaginary axis, trig
+    limit, or real constant; see _pt_symmetric).
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -537,23 +479,27 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
             f"Hill truncations K = {K} and {2 * K} disagree on [{a}, {b}] "
             f"({len(coarse)} vs {len(fine)} eigenvalue clusters)")
 
-    # Hill's rounding varies with the BLAS thread count, and a polished
-    # solution carries Delta's: one on an end of [a, b] may land either side
-    # of it, so both the candidates and the polished points get the slack
+    # Hill's rounding varies with the BLAS thread count: a solution on an
+    # end of [a, b] may land either side of it
     slack = 1e-9 * (1.0 + reach)
-    E0, target, order = np.array(
+    E, target, order = np.array(
         [c for c in coarse if a - slack <= c[0] <= b + slack]).reshape(-1, 3).T
-    E = _polish(spec, E0, target, order >= 2, settings)
-    inside = (a - slack <= E) & (E <= b + slack)
-    if not inside.any():
+    if not E.size:
         return []
-    E, target, order = E[inside], target[inside], order[inside]
-    residual = np.abs(discriminant_batch(spec, E, settings).real - target)
-    worst = int(np.argmax(residual))
-    if residual[worst] > 1e-6:
-        raise TolFailure(f"Hill eigenvalue E={E[worst]} fails the Delta check "
-                         f"(|Delta-target|={residual[worst]:.2e})")
-    hits = [EigenvalueHit(E=float(e), parity=int(t), order_d=int(o),
-                          residual=float(r))
+    cross = order == 1
+    h = 0.25 * _CLUSTER_TOL * (1.0 + np.abs(E[cross]))
+    n, m = E.size, h.size
+    delta = discriminant_batch(
+        spec, np.concatenate([E, E[cross] - h, E[cross] + h]), settings).real
+    residual = np.abs(delta[:n] - target)
+    f = delta[n:] - np.tile(target[cross], 2)
+    ok = residual <= 1e-6
+    ok[cross] = f[:m] * f[m:] < 0.0
+    if not ok.all():
+        bad = int(np.argmin(ok))
+        kind = "crossing" if cross[bad] else "double"
+        raise TolFailure(f"Hill eigenvalue E={E[bad]} ({kind}) fails the Delta check "
+                         f"(|Delta-target|={residual[bad]:.2e})")
+    # _hill_clusters sorts by centre
+    return [EigenvalueHit(E=float(e), parity=int(t), order_d=int(o), residual=float(r))
             for e, t, o, r in zip(E, target, order, residual)]
-    return sorted(hits, key=lambda hit: hit.E)

@@ -45,6 +45,7 @@ import numpy as np
 from .elliptic import invariants
 from .errors import (
     ConstancyFailure,
+    DiscriminantOverflow,
     IllConditioned,
     NotNormalized,
     RankDeficiency,
@@ -585,7 +586,8 @@ def poly_discriminant(poly: SpectralPolynomial) -> complex:
 
     disc = (-1)^(d(d-1)/2) Res(Q, Q') for monic Q.  Coefficients are
     rescaled (E -> s E) before the determinant and the scaling restored in
-    log space, so intermediate overflow is avoided.
+    log space, so intermediate overflow is avoided; a magnitude above e^700
+    raises DiscriminantOverflow.
     """
     c = np.asarray(poly.coefficients, dtype=complex)
     d = len(c) - 1
@@ -607,5 +609,5 @@ def poly_discriminant(poly: SpectralPolynomial) -> complex:
     log_mag = logdet + d * (d - 1) * math.log(s)
     phase = sign * (-1.0) ** (d * (d - 1) // 2)
     if log_mag > 700.0:
-        return phase * complex(math.inf)
+        raise DiscriminantOverflow(f"|disc Q| = e^{log_mag:.1f} exceeds double precision")
     return complex(phase * math.exp(log_mag))

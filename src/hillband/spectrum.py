@@ -303,7 +303,8 @@ def gap_eigenvalue_report(spec: PotentialSpec,
     """Interior (anti)periodic eigenvalues of every bounded band interval.
 
     One search over (E_{2g-1} + delta, E_0 - delta), delta = 1e-6 * scale,
-    finds every solution of Delta = +-2 there; a hit belongs to the band
+    finds every solution of Delta = +-2 there (none when that interval is
+    empty: one band narrower than 2 delta); a hit belongs to the band
     (E_{2j-1}, E_{2j-2}) when it lies more than 2 delta inside it, so the
     inner band edges (which satisfy Delta = +-2 themselves) drop out.
     """
@@ -325,8 +326,8 @@ def gap_eigenvalue_report(spec: PotentialSpec,
 
     edge_deltas = discriminant_batch(spec, np.array(vals), settings).real
 
-    found = periodic_eigenvalues_on_interval(
-        spec, vals[2 * g - 1] + delta, vals[0] - delta, settings)
+    a, b = vals[2 * g - 1] + delta, vals[0] - delta
+    found = periodic_eigenvalues_on_interval(spec, a, b, settings) if a < b else []
     gaps = []
     for j in range(1, g + 1):
         lo, hi = vals[2 * j - 1], vals[2 * j - 2]

@@ -346,3 +346,44 @@ class TestBoundaryValidation:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "usage error" in err and "Traceback" not in err
+
+
+class TestRobustness:
+    # extreme inputs, run through the console entry point in this process:
+    # each ends in an answer or a typed failure with a documented exit code,
+    # and no NaN or Infinity reaches either stream (a float warning is an
+    # error under this suite's filterwarnings)
+    @pytest.mark.parametrize("argv", [
+        ["gaps", "--n", "1,0,1,0", "--tau", "0.35"],
+        ["scan", "--n", "3,2,3,3", "--tau-list", "0.6,1.0,1.7"],
+        ["verify", "--n", "1,0,1,0", "--tau", "0.35"],
+        ["scan", "--n", "1,0,1,0", "--tau-list", "0.35", "--gaps"],
+        ["disc", "--n", "1,0,0,0", "--E", "1e6,0"],
+        ["disc", "--n", "1,0,0,0", "--E", "0,1e300"],
+        ["qpoly", "--n", "3,3,0,0", "--tau", "8"],
+        ["gaps", "--n", "3,3,3,3", "--tau", "0.3"],
+        ["verify", "--n", "3,3,3,3", "--tau", "0.3"],
+        ["spectrum", "--n", "3,3,3,3", "--tau", "0.3"],
+        ["arcs", "--n", "1,0,0,0", "--window=-1e6,1e6,-1,1", "--res", "16"],
+        ["info", "--n", "0,0,0,0"],
+    ])
+    def test_extreme_argv(self, capsys, monkeypatch, argv):
+        from hillband.cli import main
+
+        monkeypatch.setattr("sys.argv", ["hillband", *argv])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        out, err = capsys.readouterr()
+        assert exc.value.code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        for text in (out, err):
+            assert "NaN" not in text and "Infinity" not in text
+
+    def test_scan_names_an_overflowing_discriminant(self, capsys):
+        # |disc Q| passes e^700 at 0.6i and i: those cells read n/a, the
+        # finite one at 1.7i is printed
+        code, out, _ = run(capsys, "scan", "--n", "3,2,3,3", "--tau-list", "0.6,1.0,1.7")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [row[3:5] for row in rows[:2]] == [["n/a", "n/a"]] * 2
+        assert np.isfinite(float(rows[2][3]))

@@ -13,13 +13,13 @@ from hillband.errors import (
     NotAnEigenvalue,
     ResolutionError,
     StepLimitExceeded,
+    TolFailure,
     TransportOverflow,
 )
 from hillband.floquet import (
     IntegratorSettings,
     discriminant,
     discriminant_batch,
-    discriminant_derivative,
     monodromy,
     multiplicity_estimate,
     periodic_eigenvalues_on_interval,
@@ -136,34 +136,27 @@ class TestTableau:
 
     def test_constant_potential_step(self):
         # y'' = w y with w = E - q: from the identity every step of a window
-        # is the exact propagator (cosh, sinh of sqrt(w) h) and its
-        # w-derivative, for windows of either step size; a lone step from
-        # another state is that propagator times the state
+        # is the exact propagator (cosh, sinh of sqrt(w) h), for windows of
+        # either step size; a lone step from another state is that
+        # propagator times the state
         q = 1.5 + 0.5j
         E = np.array([-100.0, -3.0 + 2.0j, 0.5, 40.0 - 10.0j])
-        w = E - q
-        r = np.sqrt(w)
+        r = np.sqrt(E - q)
         for h, x in ((0.01, np.array([0.3, 0.31, 0.32])), (0.004, np.array([0.7, 0.704]))):
             ch, sh = np.cosh(r * h), np.sinh(r * h)
-            want = np.array([ch, r * sh, sh / r, ch,
-                             h * sh / (2 * r), sh / (2 * r) + h * ch / 2,
-                             h * ch / (2 * w) - sh / (2 * w * r), h * sh / (2 * r)])
-            for rows in (4, 8):
-                got, _ = floquet._step_maps(np.array([q]), x, h, E,
-                                            floquet._EYE[:rows, None, None])
-                assert got.shape == (rows, x.size, E.size)
-                assert np.all(np.abs(got - want[:rows, None])
-                              <= 1e-13 * np.maximum(1.0, np.abs(want[:rows, None])))
+            want = np.array([ch, r * sh, sh / r, ch])
+            got, _ = floquet._step_maps(np.array([q]), x, h, E, floquet._EYE[:, None, None])
+            assert got.shape == (4, x.size, E.size)
+            assert np.all(np.abs(got - want[:, None])
+                          <= 1e-13 * np.maximum(1.0, np.abs(want[:, None])))
         rng = np.random.default_rng(5)
-        state = rng.normal(size=(8, 1, E.size)) + 1j * rng.normal(size=(8, 1, E.size))
+        state = rng.normal(size=(4, 1, E.size)) + 1j * rng.normal(size=(4, 1, E.size))
         got, _ = floquet._step_maps(np.array([q]), x[:1], h, E, state)
         expect = _blocks(want[:, None]) @ _blocks(state)
         assert np.abs(_blocks(got) - expect).max() <= 1e-13 * np.abs(expect).max()
 
-    @pytest.mark.parametrize("tau,derivative,windows,maps", [
-        (1j, False, 2, 49), (1j, True, 2, 49), (0.3 + 1j, False, 4, 98),
-        (0.3 + 1j, True, 4, 98)])
-    def test_step_count(self, monkeypatch, tau, derivative, windows, maps):
+    @pytest.mark.parametrize("tau,windows,maps", [(1j, 2, 49), (0.3 + 1j, 4, 98)])
+    def test_step_count(self, monkeypatch, tau, windows, maps):
         # windows and step maps on Lame for three points: one half period
         # over E u conj(E) on the PT-symmetric line at tau = i; the line's
         # and the reflected line's half periods at tau = 0.3 + i.  A change
@@ -178,18 +171,15 @@ class TestTableau:
 
         monkeypatch.setattr(floquet, "_step_maps", counting)
         spec = PotentialSpec.elliptic(mv(1, 0, 0, 0), tau)
-        discriminant_batch(spec, np.array([-5.0, 2.0, 30.0]), derivative=derivative)
+        discriminant_batch(spec, np.array([-5.0, 2.0, 30.0]))
         assert len(calls) == windows
         assert abs(sum(calls) - maps) <= 0.02 * maps
 
 
 def _blocks(y):
-    """States in row form (c, c', s, s', dc, dc', ds, ds') as 4 x 4 matrices
-    [[Phi, 0], [dPhi, Phi]], Phi = [[c, s], [c', s']], over the trailing axes;
-    the product of two is the block of the composed map and its derivative."""
-    phi = np.moveaxis(np.array([[y[0], y[2]], [y[1], y[3]]]), (0, 1), (-2, -1))
-    dphi = np.moveaxis(np.array([[y[4], y[6]], [y[5], y[7]]]), (0, 1), (-2, -1))
-    return np.block([[phi, np.zeros_like(phi)], [dphi, phi]])
+    """States in row form (c, c', s, s') as 2 x 2 matrices
+    Phi = [[c, s], [c', s']] over the trailing axes."""
+    return np.moveaxis(np.array([[y[0], y[2]], [y[1], y[3]]]), (0, 1), (-2, -1))
 
 
 class TestWindows:
@@ -212,11 +202,10 @@ class TestWindows:
         # each point alone takes windows (W = 128); inside 300 points W = 1
         E = np.array([-30.0, -5.0, 3.0, 17.5, 40.0])
         crowd = np.concatenate([E, np.linspace(-60.0, 120.0, 295)])
-        big_d, big_s = discriminant_batch(spec_2210, crowd, derivative=True)
+        big = discriminant_batch(spec_2210, crowd)
         for k, e_val in enumerate(E):
-            (d,), (s,) = discriminant_batch(spec_2210, [e_val], derivative=True)
-            assert abs(d - big_d[k]) <= 1e-10 * max(1.0, abs(d))
-            assert abs(s - big_s[k]) <= 1e-10 * max(1.0, abs(s))
+            d = discriminant(spec_2210, e_val)
+            assert abs(d - big[k]) <= 1e-10 * max(1.0, abs(d))
 
 
 class TestLinePotential:
@@ -323,12 +312,11 @@ def _mirror(spec):
 
 
 def _check_half_period_invariants(spec, e_val):
-    """Delta and Delta' against scipy's full-period DOP853 run on the spec's
-    line z0 + [0, 1], det M = 1 and conjugation symmetry, at 1e-9 relative."""
-    (delta,), (slope,) = discriminant_batch(spec, [e_val], derivative=True)
-    ref, ref_slope = monodromy_scipy(spec, e_val, derivative=True)
+    """Delta against scipy's full-period DOP853 run on the spec's line
+    z0 + [0, 1], det M = 1 and conjugation symmetry, at 1e-9 relative."""
+    delta = discriminant(spec, e_val)
+    ref = monodromy_scipy(spec, e_val)
     assert abs(delta - ref) <= 1e-9 * max(1.0, abs(ref))
-    assert abs(slope - ref_slope) <= 1e-9 * max(1.0, abs(ref_slope))
     m = monodromy(spec, e_val)
     size = max(1.0, abs(m.m11), abs(m.m12), abs(m.m21), abs(m.m22))
     assert abs(m.det - 1.0) <= 1e-9 * size**2
@@ -400,53 +388,6 @@ class TestHalfPeriod:
         for (c, parity, size), (c0, parity0, size0) in zip(real, reference):
             assert (parity, size) == (parity0, size0)
             assert abs(c - c0) <= floquet._CLUSTER_TOL * (1.0 + abs(c0))
-
-
-class TestDerivative:
-    def test_against_finite_difference(self, spec_2210):
-        e_val = 1.0
-        dd = discriminant_derivative(spec_2210, e_val)
-        h = 1e-5
-        fd = (discriminant(spec_2210, e_val + h)
-              - discriminant(spec_2210, e_val - h)) / (2.0 * h)
-        assert abs(dd - fd) < 1e-6 * abs(fd)
-
-    def test_constant_double_point(self, const_spec):
-        # E = C - pi^2 is the antiperiodic double point of 2cos sqrt(C - E)
-        assert abs(discriminant_derivative(const_spec, -math.pi**2)) < 1e-9
-
-    def test_lame_simple_edge_nonzero(self, lame_spec):
-        e1 = invariants(lame_spec.torus).e1.real
-        assert abs(discriminant_derivative(lame_spec, e1)) > 1e-4
-
-
-class TestPolish:
-    def test_batch_matches_single_points(self, spec_2210, monkeypatch):
-        # crossings (Delta = +-2) and doubles (extrema of Delta^2 - 4: the
-        # touch at -46.68, the Delta = 0 minima at 15.45 and -20.53, the
-        # maximum at 43.88) polished in one batch and one at a time
-        E0 = np.array([-46.67759, -3.45584, 15.44506, 4.93499, -20.53190,
-                       20.62556, 43.87949, 55.00149])
-        target = np.array([0.0, 2.0, 0.0, 2.0, 0.0, -2.0, 0.0, -2.0])
-        double = target == 0.0
-        cfg = IntegratorSettings()
-        sizes = []
-        original = floquet.discriminant_batch
-
-        def counting(spec, E, *args, **kwargs):
-            sizes.append(np.size(E))
-            return original(spec, E, *args, **kwargs)
-
-        monkeypatch.setattr(floquet, "discriminant_batch", counting)
-        batch = floquet._polish(spec_2210, E0, target, double, cfg)
-        # the first call carries every point and the doubles' stencils, and
-        # a later call only the points still moving
-        assert sizes[0] == 16 and sizes == sorted(sizes, reverse=True)
-        single = np.concatenate([
-            floquet._polish(spec_2210, E0[k:k + 1], target[k:k + 1],
-                            double[k:k + 1], cfg) for k in range(E0.size)])
-        # measured 2.7e-14 relative at most
-        assert np.all(np.abs(batch - single) <= 3e-13 * (1.0 + np.abs(single)))
 
 
 class TestMultiplicity:
@@ -541,3 +482,37 @@ class TestEigenvalueSearch:
         monkeypatch.setattr(floquet, "_mode_cutoff", lambda spec, g: 1)
         with pytest.raises(HillbandError):
             periodic_eigenvalues_on_interval(spec_2210, -5.0, 5.0)
+
+
+class TestCertificate:
+    """Delta certifies Hill's cluster centres where they are: one plain call,
+    no search on Delta."""
+
+    def test_one_delta_call(self, lame_spec, monkeypatch):
+        calls = []
+        original = floquet.discriminant_batch
+
+        def counting(*args, **kwargs):
+            calls.append(np.size(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(floquet, "discriminant_batch", counting)
+        e1 = invariants(lame_spec.torus).e1.real
+        hits = periodic_eigenvalues_on_interval(lame_spec, -60.0, e1)
+        assert len(hits) == 4 and len(calls) == 1
+
+    @pytest.mark.parametrize("size,shift,kind", [(1, 1e-6, "crossing"),
+                                                 (2, 0.05, "double")])
+    def test_moved_hit_raises(self, const_spec, monkeypatch, size, shift, kind):
+        # q = 0 on [-12, 1]: the double at -pi^2 and the crossing at 0.  A
+        # crossing moved 4 h keeps the sign of Delta - 2 across E -+ h; the
+        # double moved 0.05 leaves |Delta + 2| at 6e-5
+        original = floquet._hill_clusters
+
+        def moved(*args):
+            return [(c + shift if n == size else c, parity, n)
+                    for c, parity, n in original(*args)]
+
+        monkeypatch.setattr(floquet, "_hill_clusters", moved)
+        with pytest.raises(TolFailure, match=kind):
+            periodic_eigenvalues_on_interval(const_spec, -12.0, 1.0)

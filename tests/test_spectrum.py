@@ -9,7 +9,7 @@ import pytest
 from hillband.elliptic import invariants
 from hillband import spectrum
 from hillband.errors import BandStructureMissing, ResolutionError
-from hillband.floquet import IntegratorSettings, discriminant_batch, discriminant_derivative
+from hillband.floquet import IntegratorSettings, discriminant_batch
 from hillband.kdv_spectral import RootCluster, spectral_polynomial, spectral_roots
 from hillband.potential import MultiplicityVector, PotentialSpec
 from hillband.spectrum import (
@@ -183,13 +183,13 @@ class TestAdjudication:
         original = floquet.discriminant_batch
 
         def counting(*args, **kwargs):
-            calls.append(kwargs.get("derivative", args[3] if len(args) > 3 else False))
+            calls.append(np.size(args[1]))
             return original(*args, **kwargs)
 
         monkeypatch.setattr(floquet, "discriminant_batch", counting)
         monkeypatch.setattr(spectrum, "discriminant_batch", counting)
         classify_spectrum(PotentialSpec.elliptic(mv(*tup), 1j * b))
-        assert calls == [False]
+        assert len(calls) == 1
 
 
 class TestGapReport:
@@ -208,11 +208,30 @@ class TestGapReport:
                 assert abs(abs(edge) - 2.0) < 1e-6
 
     def test_interior_hit_is_local_extremum(self, spec_2210, gap_report_2210):
+        # a tangential touch: Delta at hit -+ h lies on one side of the
+        # parity, farther from it than at the hit
         hit = gap_report_2210.gaps[2].interior_hits[0]
         h = 1e-4 * (1.0 + abs(hit.E))
-        left = discriminant_derivative(spec_2210, hit.E - h).real
-        right = discriminant_derivative(spec_2210, hit.E + h).real
-        assert left * right < 0.0
+        left, mid, right = discriminant_batch(
+            spec_2210, [hit.E - h, hit.E, hit.E + h]).real - hit.parity
+        assert left * right > 0.0
+        assert min(abs(left), abs(right)) > abs(mid)
+
+    def test_steep_crossings_answer(self):
+        # (2,1,2,2) at 0.35i: the inner edges near 187.9932 are crossings
+        # where |Delta'| is large, so |Delta - parity| at Hill's centres is
+        # 5e-5 and 1e-4, yet Delta - parity changes sign across each.  A
+        # Newton polish that stops at a step of 1e-8 (1 + |E|) left 1e-5
+        # there and failed a 1e-6 residual check with TolFailure
+        rep = gap_eigenvalue_report(PotentialSpec.elliptic(mv(2, 1, 2, 2), 0.35j))
+        assert rep.genus_g == 4 and len(rep.counts()) == 4
+
+    def test_band_narrower_than_the_margin(self):
+        # (1,0,1,0) at 0.35i: the only bounded band is 8.2e-5 wide, less than
+        # the 2 delta the search interval leaves out, so it holds no hits
+        rep = gap_eigenvalue_report(PotentialSpec.elliptic(mv(1, 0, 1, 0), 0.35j))
+        assert rep.counts() == [0]
+        assert rep.gaps[0].hi - rep.gaps[0].lo < 1e-4
 
     def test_band_structure_missing(self, spec_1221):
         with pytest.raises(BandStructureMissing):
