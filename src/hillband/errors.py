@@ -22,7 +22,7 @@ class ParityError(HillbandError):
 
 
 class UnsupportedMultiplicity(HillbandError):
-    """max_k n_k exceeds the range certified in double precision (n0 <= 8)."""
+    """max_k n_k > 8: past the range the KdV chain certifies in double precision."""
 
 
 class StepLimitExceeded(HillbandError):

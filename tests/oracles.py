@@ -4,8 +4,9 @@ These deliberately avoid the production code paths: the lattice sum is the
 defining series of wp summed column-by-column in closed form (csc^2 along
 the tau direction, the modular dual of the production row/nome expansion),
 eta comes from the Legendre relation, the constant-potential discriminant
-from its cosine closed form, and monodromy cross-checks ride on scipy's
-DOP853 rather than the in-tree integrator.
+from its cosine closed form, monodromy cross-checks ride on scipy's
+DOP853 rather than the in-tree integrator, and the half-period values e_k
+come from Jacobi theta nulls summed by mpmath.
 """
 
 from __future__ import annotations
@@ -53,6 +54,22 @@ def eta2_from_modular(tau: complex) -> complex:
 def legendre_defect(eta1: complex, tau: complex) -> float:
     """|eta1 * tau - eta2 - i pi| with eta2 from the modular route."""
     return abs(eta1 * tau - eta2_from_modular(tau) - 1j * math.pi)
+
+
+def e_theta_nulls(tau: complex) -> tuple[complex, complex, complex]:
+    """wp(1/2), wp(tau/2), wp((1 + tau)/2) from theta nulls at 40 digits.
+
+    e1 = (pi^2/3)(th3^4 + th4^4), e2 = -(pi^2/3)(th2^4 + th3^4) and
+    e3 = (pi^2/3)(th2^4 - th4^4), with nome q = exp(i pi tau).
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau))
+        th2, th3, th4 = (mpmath.jtheta(k, 0, q) ** 4 for k in (2, 3, 4))
+        c = mpmath.pi**2 / 3
+        return tuple(complex(v) for v in (c * (th3 + th4), -c * (th2 + th3),
+                                          c * (th2 - th4)))
 
 
 def wp_trig(z: complex) -> complex:

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hillband.cli import run_command
 
@@ -242,6 +244,15 @@ class TestVerifyCommand:
         assert code == 0 and d["thm_1_1_consistent"] is True
         assert any(r["mult"] == 2 and r["real"] for r in d["roots"])
 
+    def test_dual_past_the_chain_range(self, capsys):
+        # the dual (9,1,1,0) has a weight the chain does not take; duality
+        # and the trig limit read the Heun blocks, which take any weight
+        code, out, _ = run(capsys, "verify", "--n", "6,4,4,3", "--tau", "1")
+        d = json.loads(out)
+        assert d["classification"]["dual"] == [9, 1, 1, 0]
+        assert d["duality_match"] is True and d["trig_limit_match"] is True
+        assert code == 0 and d["all_pass"] is True
+
     def test_exit_three_on_mismatch(self, capsys, monkeypatch):
         import hillband.cli as cli_mod
 
@@ -348,6 +359,36 @@ class TestBoundaryValidation:
         assert "usage error" in err and "Traceback" not in err
 
 
+_MALFORMED = ["", "nan", "inf", "1e400", "-0.1"]
+
+
+def _pool(valid, *malformed):
+    return st.one_of(valid, st.sampled_from(_MALFORMED + list(malformed)))
+
+
+def _pair(re, im):
+    return st.tuples(re, im).map(lambda p: f"{p[0]!r},{p[1]!r}")
+
+
+_FLAG_POOLS = {
+    "--n": _pool(st.tuples(*[st.integers(0, 4)] * 4).map(lambda t: ",".join(map(str, t))),
+                 "1,0,0", "1,0,0,0,0", "9,0,0,0", "4,9,1,1"),
+    "--tau": _pool(st.floats(0.3, 3.0).map(repr)),
+    "--E": _pool(_pair(st.floats(-7e5, 7e5), st.floats(-7e5, 7e5)),
+                 "1", "1,2,3", "nan,0", "0,inf", "1e400,0"),
+    "--z0": _pool(_pair(st.floats(-1.0, 1.0), st.floats(0.05, 1.5)),
+                  "0.1", "0.1,0.2,0.3", "0.1,nan"),
+    "--rtol": _pool(st.sampled_from(["1e-12", "1e-10", "1e-8", "1e-6"]), "0", "2"),
+}
+_FLAGS_OF = {
+    "info": ["--n"],
+    "disc": ["--n", "--tau", "--E", "--z0", "--rtol"],
+    "qpoly": ["--n", "--tau", "--z0"],
+    "spectrum": ["--n", "--tau", "--z0", "--rtol"],
+    "verify": ["--n", "--tau", "--z0", "--rtol"],
+}
+
+
 class TestRobustness:
     # extreme inputs, run through the console entry point in this process:
     # each ends in an answer or a typed failure with a documented exit code,
@@ -375,6 +416,23 @@ class TestRobustness:
             main()
         out, err = capsys.readouterr()
         assert exc.value.code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        for text in (out, err):
+            assert "NaN" not in text and "Infinity" not in text
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_drawn_argv(self, capsys, data):
+        # the same contract on argv drawn from pools that mix valid flag
+        # values with malformed tokens; --n (and --E for disc) always given
+        cmd = data.draw(st.sampled_from(sorted(_FLAGS_OF)))
+        argv = [cmd]
+        for flag in _FLAGS_OF[cmd]:
+            if flag in ("--n", "--E") or data.draw(st.booleans()):
+                argv.append(f"{flag}={data.draw(_FLAG_POOLS[flag])}")
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
         assert "Traceback" not in err
         for text in (out, err):
             assert "NaN" not in text and "Infinity" not in text

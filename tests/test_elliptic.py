@@ -8,7 +8,7 @@ import pytest
 from hillband.elliptic import TorusParam, invariants, wp, wp_prime
 from hillband.errors import PoleProximity, SeriesDivergence
 
-from oracles import legendre_defect, wp_lattice_sum, wp_trig
+from oracles import e_theta_nulls, legendre_defect, wp_lattice_sum, wp_trig
 
 TAUS = [0.8j, 1j, 2j, 6j]
 
@@ -159,6 +159,14 @@ class TestOracle:
         vals = wp(z, t)
         oracle = np.array([wp_lattice_sum(complex(v), tau) for v in z])
         assert np.max(np.abs(vals - oracle)) < 1e-8
+
+    @pytest.mark.parametrize("tau", [0.6j, 1j, 1.7j, 5j, 0.3 + 1j])
+    def test_half_period_values_match_theta_nulls(self, tau):
+        # the e_k are the Heun blocks' only transcendental input
+        inv = invariants(TorusParam.from_tau(tau))
+        got = np.array([inv.e1, inv.e2, inv.e3])
+        oracle = np.array(e_theta_nulls(tau))
+        assert np.max(np.abs(got - oracle)) <= 1e-15 * np.max(np.abs(oracle))
 
 
 class TestErrors:

@@ -508,14 +508,30 @@ class TestVerifyTheorems:
         v = verify_theorems(PotentialSpec.elliptic(mv(3, 2, 1, 1), 1j))
         assert v["all_pass"] is True
         assert v["details"]["gap_counts"] == [0, 0, 0, 1]
-        # the cusp degenerates past b = 5 for genus 4, so verify reads b = 5
+        # the trig limit is read from the dual's blocks at b = 5
         assert v["trig_limit_match"] is True
         assert v["details"]["trig_limit_tau_im"] == 5.0
 
+    def test_chain_runs_once(self, monkeypatch):
+        # duality and the trig limit read the Heun blocks, so the only chain
+        # run is classify_spectrum's, never one on the dual or at b = 5
+        calls = []
+        chain_q = spectrum.spectral_polynomial
+
+        def counting(spec):
+            calls.append(spec.n.as_tuple())
+            return chain_q(spec)
+
+        monkeypatch.setattr(spectrum, "spectral_polynomial", counting)
+        v = verify_theorems(PotentialSpec.elliptic(mv(2, 1, 1, 1), 1j))
+        assert v["classification"]["case"] == "C"
+        assert v["duality_match"] is True and v["trig_limit_match"] is True
+        assert calls == [(2, 1, 1, 1)]
+
     def test_c3c4_vectors_all_pass_at_tau_1_7(self):
         # every n with n_k <= 3 and n0 = max: the reality dichotomy, the gap
-        # counts and edge signs, duality and the trig limit (at b = 5; at
-        # b = 8 the chain returns a wrong Q for (3,3,k,k) with no error)
+        # counts and edge signs, duality and the trig limit (Q from the Heun
+        # blocks, against Q_T at b = 5)
         failed = [
             tup for tup in itertools.product(range(4), repeat=4)
             if max(tup) >= 1 and tup[0] == max(tup)
