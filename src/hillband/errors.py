@@ -43,7 +43,8 @@ class NotAnEigenvalue(HillbandError):
 
 
 class ResolutionError(HillbandError):
-    """Fourier grid does not resolve the potential (top-mode decay failed)."""
+    """Fourier grid does not resolve the potential (top-mode decay failed), or
+    a Hill eigenvector's tail exceeds 1e-10."""
 
 
 class RankDeficiency(HillbandError):

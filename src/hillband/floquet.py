@@ -116,6 +116,7 @@ _B_ERR[0] = _B8
 _B_ERR[1, [0, 10, 11, 12]] = np.array([1.0, 1.0, -1.0, -1.0]) * 41.0 / 840.0
 
 _CLUSTER_TOL = 1e-6  # relative spread of Hill eigenvalues forming one hit
+_TAIL_TOL = 1e-10  # end-mode share of a Hill eigenvector that proves K too small
 _MAX_LINE_MODES = 2**15  # ceiling on the transport's potential mode cutoff
 _MAX_STEPS = 10**6  # step maps per adaptive transport
 _WINDOW = 128  # (step, point) pairs per window of the adaptive transport
@@ -417,8 +418,11 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     H_0 solve Delta = +2 and those of H_pi solve Delta = -2.  Eigenvalues with
     |Im E| <= _CLUSTER_TOL * (1 + |E|) count as real (a double root may split
     off the axis by that much), and those of one parity that close to each
-    other form one cluster.  Returns
-    (centre, parity, size) triples sorted by centre.
+    other form one cluster.  Returns (centre, parity, size) triples sorted
+    by centre, or raises ResolutionError when the eigenvector of an
+    eigenvalue with real part in [lo, hi] (real or not: one that truncation
+    pushed off the axis counts too) keeps more than _TAIL_TOL of its largest
+    entry in the 4 modes at either end (|k| >= K - 3): K is too small.
 
     The line must be PT-symmetric.  It is symmetric about x = 0, so its
     modes are real and H_mu is a real matrix.
@@ -428,10 +432,15 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     toeplitz = q[2 * K + k[:, None] - k[None, :]]
     clusters = []
     for mu, parity in ((0.0, 2), (math.pi, -2)):
-        ev = np.linalg.eigvals(toeplitz - np.diag((2.0 * math.pi * k + mu) ** 2))
+        ev, vec = np.linalg.eig(toeplitz - np.diag((2.0 * math.pi * k + mu) ** 2))
         tol = _CLUSTER_TOL * (1.0 + np.abs(ev.real))
-        real = np.sort(ev.real[(np.abs(ev.imag) <= tol) & (ev.real >= lo)
-                               & (ev.real <= hi)])
+        inside = (ev.real >= lo) & (ev.real <= hi)
+        mag = np.abs(vec[:, inside])
+        tail = (mag[np.abs(k) >= K - 3].max(axis=0) / mag.max(axis=0)).max(initial=0.0)
+        if tail > _TAIL_TOL:
+            raise ResolutionError(f"Hill truncation K = {K} is too small on [{lo}, {hi}]: "
+                                  f"an eigenvector's end-mode tail is {tail:.2e}")
+        real = np.sort(ev.real[inside & (np.abs(ev.imag) <= tol)])
         breaks = np.nonzero(np.diff(real) > _CLUSTER_TOL * (1.0 + np.abs(real[1:])))[0]
         for part in np.split(real, breaks + 1):
             if part.size:
@@ -448,12 +457,13 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
     Floquet-Fourier-Hill matrices H_0 and H_pi (see _hill_clusters), built
     from the closed-form Fourier modes of the sampled potential.  The
     truncation K comes from the potential's mode decay, raised so that
-    (2 pi K)^2 >= 16 max(|a|, |b|); the clusters at K and at 2K must agree
-    in a slightly widened window, or ResolutionError is raised.  The cluster
+    (2 pi K)^2 >= 16 max(|a|, |b|); one solve at K must leave every Hill
+    eigenvector of an eigenvalue over [a, b] with an end-mode tail below
+    1e-10, or ResolutionError is raised (see _hill_clusters).  The cluster
     size is the order estimate (2 for a tangential touch, 1 for a crossing).
-    One plain Delta call certifies every hit where Hill put it, or raises
-    TolFailure: a double needs |Delta - parity| <= 1e-6 at its centre, a
-    crossing a sign change of Delta - parity across E -+ h,
+    One plain Delta call at rel_tol <= 1e-10 certifies every hit where Hill
+    put it, or raises TolFailure: a double needs |Delta - parity| <= 1e-6 at
+    its centre, a crossing a sign change of Delta - parity across E -+ h,
     h = _CLUSTER_TOL (1 + |E|) / 4 (other solutions of its parity are at
     least 4 h away, or they would share its cluster).  A solution within
     1e-9 (1 + max(|a|, |b|)) of an end counts as on it.  Requires Delta real
@@ -462,28 +472,17 @@ def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
     """
     if not a < b:
         raise ValueError("need a < b")
-    settings = settings or DEFAULT_SETTINGS
+    settings = IntegratorSettings(rel_tol=min((settings or DEFAULT_SETTINGS).rel_tol, 1e-10))
     if not _pt_symmetric(spec):
         raise ValueError("real-line eigenvalue search requires tau in i*R "
                          "(or the trig limit, or a real constant)")
 
     reach = max(abs(a), abs(b))
     K = max(_mode_cutoff(spec, 0), math.ceil(2.0 * math.sqrt(reach) / math.pi))
-    pad = 1e-3 * (1.0 + reach)  # keeps edges just outside [a, b] comparable
-    coarse = _hill_clusters(spec, K, a - pad, b + pad)
-    fine = _hill_clusters(spec, 2 * K, a - pad, b + pad)
-    if len(coarse) != len(fine) or any(
-            (c[1:] != f[1:]) or abs(c[0] - f[0]) > _CLUSTER_TOL * (1.0 + abs(c[0]))
-            for c, f in zip(coarse, fine)):
-        raise ResolutionError(
-            f"Hill truncations K = {K} and {2 * K} disagree on [{a}, {b}] "
-            f"({len(coarse)} vs {len(fine)} eigenvalue clusters)")
-
     # Hill's rounding varies with the BLAS thread count: a solution on an
     # end of [a, b] may land either side of it
     slack = 1e-9 * (1.0 + reach)
-    E, target, order = np.array(
-        [c for c in coarse if a - slack <= c[0] <= b + slack]).reshape(-1, 3).T
+    E, target, order = np.array(_hill_clusters(spec, K, a - slack, b + slack)).reshape(-1, 3).T
     if not E.size:
         return []
     cross = order == 1

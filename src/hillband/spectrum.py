@@ -154,11 +154,25 @@ class GapInterval:
 
 @dataclass(frozen=True, slots=True)
 class GapReport:
+    """Interior hits of the bounded band intervals; genus_g and gaps derive from edges."""
+
     spec: PotentialSpec
-    genus_g: int
     m_used: int
-    gaps: tuple[GapInterval, ...]
-    edge_deltas: tuple[float, ...]  # measured Delta at E_0 > E_1 > ... > E_2g
+    edges: tuple[float, ...]  # E_0 > E_1 > ... > E_2g
+    edge_deltas: tuple[float, ...]  # measured Delta at the edges
+    hits: tuple[EigenvalueHit, ...]  # interior hits of all intervals, by E
+
+    @property
+    def genus_g(self) -> int:
+        return (len(self.edges) - 1) // 2
+
+    @property
+    def gaps(self) -> tuple[GapInterval, ...]:
+        e, d = self.edges, self.edge_deltas
+        return tuple(GapInterval(
+            index=j, lo=lo, hi=hi, interior_hits=tuple(h for h in self.hits if lo < h.E < hi),
+            edge_parities=(2 if d_lo > 0 else -2, 2 if d_hi > 0 else -2), edge_values=(d_lo, d_hi),
+        ) for j, (lo, hi, d_lo, d_hi) in enumerate(zip(e[1::2], e[::2], d[1::2], d[::2]), 1))
 
     def counts(self) -> list[int]:
         return [len(gap.interior_hits) for gap in self.gaps]
@@ -319,28 +333,20 @@ def gap_eigenvalue_report(spec: PotentialSpec,
         raise BandStructureMissing(
             "conditions hold for this n; the gap-count structure is undefined")
 
-    vals = sorted(report.root_values.real.tolist(), reverse=True)
+    vals = tuple(sorted(report.root_values.real.tolist(), reverse=True))
     g = (len(vals) - 1) // 2
     scale = 1.0 + max(abs(v) for v in vals)
     delta = 1e-6 * scale
-
-    edge_deltas = discriminant_batch(spec, np.array(vals), settings).real
+    # edge Delta is checked to 1e-6, whatever rel_tol classified the spectrum
+    settings = IntegratorSettings(rel_tol=min(settings.rel_tol, 1e-10))
+    edge_deltas = tuple(discriminant_batch(spec, np.array(vals), settings).real.tolist())
 
     a, b = vals[2 * g - 1] + delta, vals[0] - delta
     found = periodic_eigenvalues_on_interval(spec, a, b, settings) if a < b else []
-    gaps = []
-    for j in range(1, g + 1):
-        lo, hi = vals[2 * j - 1], vals[2 * j - 2]
-        hits = tuple(h for h in found
-                     if lo + 2 * delta < h.E < hi - 2 * delta)
-        e_lo, e_hi = float(edge_deltas[2 * j - 1]), float(edge_deltas[2 * j - 2])
-        gaps.append(GapInterval(
-            index=j, lo=lo, hi=hi, interior_hits=hits,
-            edge_parities=(2 if e_lo > 0 else -2, 2 if e_hi > 0 else -2),
-            edge_values=(e_lo, e_hi),
-        ))
-    return GapReport(spec=spec, genus_g=g, m_used=cls.gap_m, gaps=tuple(gaps),
-                     edge_deltas=tuple(float(v) for v in edge_deltas))
+    hits = tuple(h for h in found if any(lo + 2 * delta < h.E < hi - 2 * delta
+                                         for lo, hi in zip(vals[1::2], vals[::2])))
+    return GapReport(spec=spec, m_used=cls.gap_m, edges=vals, edge_deltas=edge_deltas,
+                     hits=hits)
 
 
 # -- stability region (marching squares on Im Delta) -------------------------
@@ -693,7 +699,7 @@ def verify_theorems(spec: PotentialSpec,
         deviation = float(np.max(np.abs(edge - np.array(measured))))
         out["edge_signs_match"] = (measured == expected_signs
                                    and deviation <= 1e-6)
-        out["details"]["edge_deltas"] = [float(v) for v in edge]
+        out["details"]["edge_deltas"] = list(gaps.edge_deltas)
         out["details"]["edge_signs_expected"] = expected_signs
         interior = [int(h.parity) for gap in gaps.gaps for h in gap.interior_hits]
         out["details"]["interior_parities"] = interior
@@ -730,13 +736,6 @@ def verify_theorems(spec: PotentialSpec,
 
 
 def _expected_edge_signs(g: int, m: int) -> list[int]:
-    """Delta signs at E_0 .. E_{2g} per the gap-count theorem."""
-    signs = [2]  # E_0
-    for j in range(1, m + 1):
-        s = 2 if j % 2 == 0 else -2
-        signs.append(s)  # E_{2j-1}
-        signs.append(s)  # E_{2j}
-    tail = 2 if m % 2 == 0 else -2
-    while len(signs) < 2 * g + 1:
-        signs.append(tail)
-    return signs
+    """Delta signs at E_0 .. E_{2g} per the gap-count theorem: E_0 takes +2,
+    E_{2j-1} and E_{2j} take (-1)^j 2 for j <= m, and every later edge (-1)^m 2."""
+    return [2 * (-1) ** min((i + 1) // 2, m) for i in range(2 * g + 1)]

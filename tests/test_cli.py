@@ -222,6 +222,23 @@ class TestArcs:
         assert np.abs(loose - default).max() <= 1e-6
 
 
+class TestLooseRtol:
+    """gaps and verify read Delta at rel_tol min(rtol, 1e-10): the crossing
+    certificate's step does not grow with the transport's error, and a loose
+    --rtol used to fail a true crossing near E = 0 with TolFailure."""
+
+    def test_gaps(self, capsys):
+        code, out, _ = run(capsys, "gaps", "--n", "3,3,3,3", "--rtol", "1e-6")
+        assert code == 0
+        _, want, _ = run(capsys, "gaps", "--n", "3,3,3,3")
+        got, want = json.loads(out), json.loads(want)
+        assert [len(g["hits"]) for g in got["gaps"]] == [len(g["hits"]) for g in want["gaps"]]
+
+    def test_verify(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "4,4,4,4", "--tau", "1", "--rtol", "1e-6")
+        assert code == 0 and json.loads(out)["all_pass"] is True
+
+
 class TestVerifyCommand:
     def test_lame_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "1,0,0,0", "--tau", "1.0")

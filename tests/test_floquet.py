@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hillband import floquet
 from hillband.errors import (
-    HillbandError,
     NotAnEigenvalue,
     ResolutionError,
     StepLimitExceeded,
@@ -25,9 +24,11 @@ from hillband.floquet import (
     periodic_eigenvalues_on_interval,
 )
 from hillband.elliptic import invariants
+from hillband.kdv_spectral import _heun_blocks
 from hillband.potential import MultiplicityVector, PotentialSpec, evaluate_potential
 
 from oracles import delta_constant, monodromy_scipy
+from test_kdv_spectral import _EDGE_CASES
 
 
 def mv(*ns):
@@ -93,6 +94,21 @@ class TestMonodromy:
             a = discriminant(spec_2210, e_val)
             b = discriminant(spec_2210, e_val.conjugate())
             assert abs(b - a.conjugate()) < 1e-8 * max(1.0, abs(a))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ns=st.tuples(*[st.integers(0, 3)] * 4).filter(lambda t: max(t) >= 1),
+           b=st.floats(0.5, 2.0), re_e=st.floats(-60.0, 60.0),
+           im_e=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
+    def test_discriminant_identity(self, ns, b, re_e, im_e):
+        # (m11 - m22)^2 + 4 m12 m21 = Delta^2 - 4 det M, so the identity with
+        # Delta^2 - 4 holds as far as det M = 1 does.  The bound is 4 times
+        # the 1e-9 that `disc` allows det_defect = |det M - 1| / s^2, on the
+        # same scale s = max(1, max |m_ij|); the largest seen is 5e-13 s^2
+        spec = PotentialSpec.elliptic(mv(*ns), 1j * b)
+        m11, m21, m12, m22 = floquet.monodromy_batch(spec, [complex(re_e, im_e)])[:, 0]
+        s = max(1.0, abs(m11), abs(m12), abs(m21), abs(m22))
+        delta = m11 + m22
+        assert abs((m11 - m22) ** 2 + 4 * m12 * m21 - (delta**2 - 4)) <= 4e-9 * s**2
 
     def test_reality_on_real_axis(self, spec_2210):
         delta = discriminant_batch(spec_2210, np.array([-30.0, -5.0, 3.0]))
@@ -478,10 +494,52 @@ class TestEigenvalueSearch:
         assert len(hits) == 4 and abs(hits[-1].E - e1) <= 1e-9
 
     def test_unconverged_truncation_raises(self, spec_2210, monkeypatch):
-        # a cutoff far below the potential's mode decay: K = 2 and 4 disagree
+        # a cutoff far below the potential's mode decay (37 at tau = i); the
+        # window raises it to K = 2, and every mode is an end mode
         monkeypatch.setattr(floquet, "_mode_cutoff", lambda spec, g: 1)
-        with pytest.raises(HillbandError):
+        with pytest.raises(ResolutionError, match="K = 2 .*tail is 1.00e"):
             periodic_eigenvalues_on_interval(spec_2210, -5.0, 5.0)
+
+    @pytest.mark.parametrize("cutoff", [8, 14])
+    def test_eigenvector_tail_names_truncation(self, spec_2210, monkeypatch, cutoff):
+        # an eigenvector in the window keeps 9e-3 (K = 8) and 2e-6 (K = 14)
+        # of its largest entry in its 4 end modes, above the 1e-10 bound
+        monkeypatch.setattr(floquet, "_mode_cutoff", lambda spec, g: cutoff)
+        with pytest.raises(ResolutionError, match=f"K = {cutoff} .*tail"):
+            periodic_eigenvalues_on_interval(spec_2210, -5.0, 5.0)
+
+    def test_one_hill_solve(self, spec_2210, monkeypatch):
+        calls = []
+        original = floquet._hill_clusters
+
+        def counting(spec, K, lo, hi):
+            calls.append(K)
+            return original(spec, K, lo, hi)
+
+        monkeypatch.setattr(floquet, "_hill_clusters", counting)
+        periodic_eigenvalues_on_interval(spec_2210, -60.0, 60.0)
+        assert calls == [floquet._mode_cutoff(spec_2210, 0)]
+
+
+class TestTruncationOracle:
+    """Hill's clusters at 2K agree with those at the K the search solves, on
+    the vectors TestHeunBlocks::test_edges_match_hill lists: same clusters,
+    centres within 1e-9 (1 + |E|) (the largest seen is 2.3e-10)."""
+
+    @pytest.mark.parametrize("tup,b", _EDGE_CASES)
+    def test_k_and_2k_agree(self, tup, b):
+        spec = PotentialSpec.elliptic(mv(*tup), 1j * b)
+        edges = np.concatenate(_heun_blocks(spec)).real
+        reach = float(np.abs(edges).max())
+        K = max(floquet._mode_cutoff(spec, 0), math.ceil(2.0 * math.sqrt(reach) / math.pi))
+        pad = 1e-3 * (1.0 + reach)
+        lo, hi = edges.min() - pad, edges.max() + pad
+        coarse = floquet._hill_clusters(spec, K, lo, hi)
+        fine = floquet._hill_clusters(spec, 2 * K, lo, hi)
+        assert len(coarse) == len(fine) >= 2
+        for (c, parity, size), (f, parity2, size2) in zip(coarse, fine):
+            assert (parity, size) == (parity2, size2)
+            assert abs(c - f) <= 1e-9 * (1.0 + abs(c))
 
 
 class TestCertificate:

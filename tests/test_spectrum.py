@@ -233,6 +233,22 @@ class TestGapReport:
         assert rep.counts() == [0]
         assert rep.gaps[0].hi - rep.gaps[0].lo < 1e-4
 
+    def test_gaps_derived_gap_by_gap(self):
+        # (3,3,3,3) at 0.6i has one hit in each bounded band.  The report
+        # stores the hits by E; gaps, to_json_dict and verify's
+        # interior_parities list them from the top band down, and every
+        # GapInterval shares the report's edges and Delta values
+        rep = gap_eigenvalue_report(PotentialSpec.elliptic(mv(3, 3, 3, 3), 0.6j))
+        assert [h.E for h in rep.hits] == sorted(h.E for h in rep.hits)
+        listed = [h["E"] for gap in rep.to_json_dict()["gaps"] for h in gap["hits"]]
+        want = [549.0567472977091, 1.5009956459562872, -322.3816457299648]
+        assert np.allclose(listed, want, rtol=1e-10)
+        assert [h.E for gap in rep.gaps for h in gap.interior_hits] == listed
+        for j, gap in enumerate(rep.gaps, start=1):
+            assert (gap.lo, gap.hi) == (rep.edges[2 * j - 1], rep.edges[2 * j - 2])
+            assert gap.edge_values[0] is rep.edge_deltas[2 * j - 1]
+            assert gap.edge_values[1] is rep.edge_deltas[2 * j - 2]
+
     def test_band_structure_missing(self, spec_1221):
         with pytest.raises(BandStructureMissing):
             gap_eigenvalue_report(spec_1221)
