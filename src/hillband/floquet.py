@@ -422,10 +422,8 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     by centre, or raises ResolutionError when the eigenvector of an
     eigenvalue with real part in [lo, hi] (real or not: one that truncation
     pushed off the axis counts too) keeps more than _TAIL_TOL of its largest
-    entry in the 4 modes at either end (|k| >= K - 3): K is too small.
-
-    The line must be PT-symmetric.  It is symmetric about x = 0, so its
-    modes are real and H_mu is a real matrix.
+    entry in the 4 modes at either end (|k| >= K - 3): K is too small.  The
+    line must be PT-symmetric (about x = 0), so its modes and H_mu are real.
     """
     q = _line_modes(spec, 2 * K).real.astype(float)
     k = np.arange(-K, K + 1)
@@ -448,57 +446,63 @@ def _hill_clusters(spec: PotentialSpec, K: int, lo: float,
     return sorted(clusters)
 
 
-def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
-                                     settings: Optional[IntegratorSettings] = None,
-                                     ) -> list[EigenvalueHit]:
-    """All real solutions of Delta = +2 and Delta = -2 in [a, b].
-
-    The solutions are the centres of the real eigenvalue clusters of the
-    Floquet-Fourier-Hill matrices H_0 and H_pi (see _hill_clusters), built
-    from the closed-form Fourier modes of the sampled potential.  The
-    truncation K comes from the potential's mode decay, raised so that
-    (2 pi K)^2 >= 16 max(|a|, |b|); one solve at K must leave every Hill
-    eigenvector of an eigenvalue over [a, b] with an end-mode tail below
-    1e-10, or ResolutionError is raised (see _hill_clusters).  The cluster
-    size is the order estimate (2 for a tangential touch, 1 for a crossing).
-    One plain Delta call at rel_tol <= 1e-10 certifies every hit where Hill
-    put it, or raises TolFailure: a double needs |Delta - parity| <= 1e-6 at
-    its centre, a crossing a sign change of Delta - parity across E -+ h,
-    h = _CLUSTER_TOL (1 + |E|) / 4 (other solutions of its parity are at
-    least 4 h away, or they would share its cluster).  A solution within
-    1e-9 (1 + max(|a|, |b|)) of an end counts as on it.  Requires Delta real
-    on [a, b], i.e. a PT-symmetric line (tau on the imaginary axis, trig
-    limit, or real constant; see _pt_symmetric).
-    """
-    if not a < b:
-        raise ValueError("need a < b")
-    settings = IntegratorSettings(rel_tol=min((settings or DEFAULT_SETTINGS).rel_tol, 1e-10))
+def _hill_search(spec: PotentialSpec, a: float, b: float) -> np.ndarray:
+    """Hill's clusters over [a, b] as rows (centres, parities, sizes), by centre:
+    one solve (_hill_clusters) at K covering q's modes, (2 pi K)^2 >= 16 max(|a|, |b|)."""
     if not _pt_symmetric(spec):
         raise ValueError("real-line eigenvalue search requires tau in i*R "
                          "(or the trig limit, or a real constant)")
-
     reach = max(abs(a), abs(b))
     K = max(_mode_cutoff(spec, 0), math.ceil(2.0 * math.sqrt(reach) / math.pi))
     # Hill's rounding varies with the BLAS thread count: a solution on an
     # end of [a, b] may land either side of it
     slack = 1e-9 * (1.0 + reach)
-    E, target, order = np.array(_hill_clusters(spec, K, a - slack, b + slack)).reshape(-1, 3).T
+    return np.array(_hill_clusters(spec, K, a - slack, b + slack)).reshape(-1, 3).T
+
+
+def _certify(spec: PotentialSpec, E: np.ndarray, target: np.ndarray, order: np.ndarray,
+             settings: IntegratorSettings) -> list[EigenvalueHit]:
+    """Hits at Hill's centres E, certified by one plain Delta call at rel_tol
+    <= 1e-10 (none for no E), or TolFailure: a double (order 2) needs
+    |Delta - parity| <= 1e-6 at its centre, a crossing (order 1) a sign change
+    of Delta - parity across E -+ h, h = _CLUSTER_TOL (1 + |E|) / 4 (other
+    solutions of its parity are at least 4 h away, or they would share its
+    cluster)."""
     if not E.size:
         return []
+    settings = IntegratorSettings(rel_tol=min(settings.rel_tol, 1e-10))
     cross = order == 1
     h = 0.25 * _CLUSTER_TOL * (1.0 + np.abs(E[cross]))
-    n, m = E.size, h.size
     delta = discriminant_batch(
         spec, np.concatenate([E, E[cross] - h, E[cross] + h]), settings).real
-    residual = np.abs(delta[:n] - target)
-    f = delta[n:] - np.tile(target[cross], 2)
+    residual = np.abs(delta[:E.size] - target)
+    left, right = np.split(delta[E.size:] - np.tile(target[cross], 2), 2)
     ok = residual <= 1e-6
-    ok[cross] = f[:m] * f[m:] < 0.0
+    ok[cross] = left * right < 0.0
     if not ok.all():
         bad = int(np.argmin(ok))
         kind = "crossing" if cross[bad] else "double"
         raise TolFailure(f"Hill eigenvalue E={E[bad]} ({kind}) fails the Delta check "
                          f"(|Delta-target|={residual[bad]:.2e})")
-    # _hill_clusters sorts by centre
     return [EigenvalueHit(E=float(e), parity=int(t), order_d=int(o), residual=float(r))
             for e, t, o, r in zip(E, target, order, residual)]
+
+
+def periodic_eigenvalues_on_interval(spec: PotentialSpec, a: float, b: float,
+                                     settings: Optional[IntegratorSettings] = None,
+                                     ) -> list[EigenvalueHit]:
+    """All real solutions of Delta = +2 and Delta = -2 in [a, b], by E.
+
+    They are the centres of the real eigenvalue clusters of the
+    Floquet-Fourier-Hill matrices H_0 and H_pi, solved once (_hill_search);
+    one within 1e-9 (1 + max(|a|, |b|)) of an end counts as on it.  A Hill
+    eigenvector over [a, b] with an end-mode tail above 1e-10 raises
+    ResolutionError.  The cluster size is the order estimate (2 for a
+    tangential touch, 1 for a crossing).  One plain Delta call certifies
+    every solution returned, or raises TolFailure (see _certify).  Requires
+    a PT-symmetric line (tau on the imaginary axis, trig limit, or real
+    constant; see _pt_symmetric), where Delta is real on [a, b].
+    """
+    if not a < b:
+        raise ValueError("need a < b")
+    return _certify(spec, *_hill_search(spec, a, b), settings or DEFAULT_SETTINGS)

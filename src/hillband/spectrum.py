@@ -27,8 +27,9 @@ from .floquet import (
     DEFAULT_SETTINGS,
     EigenvalueHit,
     IntegratorSettings,
+    _certify,
+    _hill_search,
     discriminant_batch,
-    periodic_eigenvalues_on_interval,
 )
 from .kdv_spectral import (
     RootCluster,
@@ -178,22 +179,13 @@ class GapReport:
         return [len(gap.interior_hits) for gap in self.gaps]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": list(self.spec.n.as_tuple()),
-            "tau_im": self.spec.torus.tau.imag,
-            "g": self.genus_g,
-            "m": self.m_used,
-            "gaps": [
-                {
-                    "interval": [gap.lo, gap.hi],
-                    "hits": [{"E": h.E, "parity": h.parity, "order_d": h.order_d}
-                             for h in gap.interior_hits],
-                    "edge_parities": list(gap.edge_parities),
-                    "edge_deltas": list(gap.edge_values),
-                }
-                for gap in self.gaps
-            ],
-        }
+        gaps = [{"interval": [gap.lo, gap.hi],
+                 "hits": [{"E": h.E, "parity": h.parity, "order_d": h.order_d}
+                          for h in gap.interior_hits],
+                 "edge_parities": list(gap.edge_parities), "edge_deltas": list(gap.edge_values)}
+                for gap in self.gaps]
+        return {"n": list(self.spec.n.as_tuple()), "tau_im": self.spec.torus.tau.imag,
+                "g": self.genus_g, "m": self.m_used, "gaps": gaps}
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,11 +308,14 @@ def gap_eigenvalue_report(spec: PotentialSpec,
                           report: Optional[SpectrumReport] = None) -> GapReport:
     """Interior (anti)periodic eigenvalues of every bounded band interval.
 
-    One search over (E_{2g-1} + delta, E_0 - delta), delta = 1e-6 * scale,
-    finds every solution of Delta = +-2 there (none when that interval is
-    empty: one band narrower than 2 delta); a hit belongs to the band
+    One Hill search over (E_{2g-1} + delta, E_0 - delta), delta = 1e-6 *
+    scale, finds every solution of Delta = +-2 there (none when that interval
+    is empty: one band narrower than 2 delta); a hit belongs to the band
     (E_{2j-1}, E_{2j-2}) when it lies more than 2 delta inside it, so the
-    inner band edges (which satisfy Delta = +-2 themselves) drop out.
+    inner band edges (which satisfy Delta = +-2 themselves) drop out.  One
+    plain Delta call reads the edges, and one more certifies every other
+    solution (floquet._certify): a crossing within 2 delta of an edge is
+    that edge, and the edge's Delta stands for its certificate.
     """
     settings = settings or DEFAULT_SETTINGS
     if report is None:
@@ -342,7 +337,10 @@ def gap_eigenvalue_report(spec: PotentialSpec,
     edge_deltas = tuple(discriminant_batch(spec, np.array(vals), settings).real.tolist())
 
     a, b = vals[2 * g - 1] + delta, vals[0] - delta
-    found = periodic_eigenvalues_on_interval(spec, a, b, settings) if a < b else []
+    E, target, order = _hill_search(spec, a, b) if a < b else np.empty((3, 0))
+    # a crossing within 2 delta of an edge is that edge: its Delta is the edge Delta
+    keep = (order != 1) | (np.abs(np.subtract.outer(E, vals)).min(axis=1) > 2 * delta)
+    found = _certify(spec, E[keep], target[keep], order[keep], settings)
     hits = tuple(h for h in found if any(lo + 2 * delta < h.E < hi - 2 * delta
                                          for lo, hi in zip(vals[1::2], vals[::2])))
     return GapReport(spec=spec, m_used=cls.gap_m, edges=vals, edge_deltas=edge_deltas,
@@ -715,12 +713,9 @@ def verify_theorems(spec: PotentialSpec,
         out["duality_match"] = rel <= 1e-8
         out["details"]["duality_rel_diff"] = rel
 
-    trig_target = None
-    if cls.case_label in ("A",) or (cls.case_label == "NONE"
-                                    and genus(spec.n) == spec.n.n0):
+    trig_target = {"A": spec.n, "B": cls.dual, "C": cls.dual}.get(cls.case_label)
+    if cls.case_label == "NONE" and genus(spec.n) == spec.n.n0:
         trig_target = spec.n
-    elif cls.case_label in ("B", "C"):
-        trig_target = cls.dual
     if trig_target is not None:
         qb = _block_coefficients(PotentialSpec.elliptic(trig_target, 1j * _TRIG_TAU_IM))
         rel = _rel_coeff_diff(qb, trig_spectral_polynomial(trig_target).coefficients)

@@ -1,6 +1,7 @@
 """CLI surface: flags, schemas, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,6 +124,19 @@ class TestQpolySpectrum:
         # Q comes from the KdV chain; no integrator tolerance applies
         code, _, err = run(capsys, "qpoly", "--n", "1,0,0,0", "--rtol", "1e-8")
         assert code == 1 and "usage error" in err
+
+
+class TestGolden:
+    """stdout pinned byte for byte, recorded while every inner band edge of
+    the gap search still took a Delta certificate."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (("gaps", "--n", "2,2,1,0"), "gaps_n2210.txt"),
+        (("verify", "--n", "3,3,3,3", "--tau", "0.6"), "verify_n3333_tau0.6.txt"),
+    ])
+    def test_stdout_matches_golden(self, capsys, argv, name):
+        _, out, _ = run(capsys, *argv)
+        assert out == (Path(__file__).parent / "golden" / name).read_text()
 
 
 class TestDeterminism:

@@ -16,7 +16,7 @@ from hillband.errors import (
     ResolutionError,
     UnsupportedMultiplicity,
 )
-from hillband.floquet import DEFAULT_SETTINGS
+from hillband.floquet import DEFAULT_SETTINGS, discriminant_batch
 from hillband.kdv_spectral import (
     SpectralPolynomial,
     kdv_chain,
@@ -412,6 +412,29 @@ class TestHeunBlocks:
         # each eigenvalue of either side within the bound of one of the other
         dist = np.abs(a[:, None] - d[None, :])
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12 * (1.0 + np.abs(a).max())
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ns=st.tuples(*[st.integers(0, 3)] * 4).filter(lambda t: max(t) >= 1),
+           b=st.floats(0.6, 1.7))
+    def test_block_parity_is_the_sign_of_delta(self, ns, b):
+        # a block's functions prod (t - e_i)^alpha_i Z(t) are antiperiodic
+        # over the period 1 exactly when one of alpha_2, alpha_3 (not both)
+        # is a half-integer (sqrt(t - e_i) changes sign over it for i = 2, 3
+        # only), so Delta = -2 at its real eigenvalues, else +2.  The blocks
+        # come in the order of _heun_blocks' (alpha, sigma) loop; a complex
+        # eigenvalue has a complex Delta, with no sign to compare
+        spec = spec_of(ns, 1j * b)
+        n0, *rest = ns
+        labels = [alpha for alpha in itertools.product(*((-k / 2, (k + 1) / 2) for k in rest))
+                  for sigma in (n0 / 2, -(n0 + 1) / 2)
+                  if sigma - sum(alpha) >= 0 and (sigma - sum(alpha)) % 1 == 0]
+        blocks = kdv_spectral._heun_blocks(spec)
+        assert len(blocks) == len(labels)
+        for alpha, eig in zip(labels, blocks):
+            real = eig[eig.imag == 0.0].real
+            if real.size:
+                parity = -1.0 if (alpha[1] % 1 != 0) != (alpha[2] % 1 != 0) else 1.0
+                assert (np.sign(discriminant_batch(spec, real).real) == parity).all(), alpha
 
     @pytest.mark.parametrize("tup,b", _EDGE_CASES + [
         (tup, b) for b in (1.0, 1.7) for tup in _C3C4_VECTORS if (tup, b) not in _EDGE_CASES])

@@ -1,14 +1,16 @@
 """Band assembly, gap reports, stability arcs, theorem verdicts."""
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hillband.elliptic import invariants
 from hillband import spectrum
-from hillband.errors import BandStructureMissing, ResolutionError
+from hillband.errors import BandStructureMissing, ResolutionError, TolFailure
 from hillband.floquet import IntegratorSettings, discriminant_batch
 from hillband.kdv_spectral import RootCluster, spectral_polynomial, spectral_roots
 from hillband.potential import MultiplicityVector, PotentialSpec
@@ -19,6 +21,12 @@ from hillband.spectrum import (
     stability_region,
     verify_theorems,
 )
+
+
+# the verify bench's vectors: cases A, B and C, gap counts 0 and 1, both parities
+_VERIFY_VECTORS = ((1, 0, 0, 0), (2, 1, 1, 0), (1, 1, 1, 0),
+                   (2, 1, 1, 1), (3, 0, 0, 0), (2, 2, 1, 0))
+_GOLDEN = Path(__file__).parent / "golden"
 
 
 def mv(*ns):
@@ -276,6 +284,61 @@ class TestGapReport:
         rep = gap_eigenvalue_report(spec_2210)
         assert rep.counts() == [0, 0, 1]
         assert 0 < sum(points) <= 500
+
+    def test_delta_budget_on_verify_vectors(self, monkeypatch):
+        # one Delta call reads the edges, and one more certifies what the
+        # report can keep: the two doubles, never a crossing on an edge.
+        # Certifying every inner edge as well took 11 calls and 84 points
+        from hillband import floquet
+
+        specs = [PotentialSpec.elliptic(mv(*n), 1j) for n in _VERIFY_VECTORS]
+        reports = [classify_spectrum(spec) for spec in specs]
+        calls = {}
+        original = floquet.discriminant_batch
+
+        def counting(spec, E, *args, **kwargs):
+            calls.setdefault(spec.n.as_tuple(), []).append(np.size(E))
+            return original(spec, E, *args, **kwargs)
+
+        monkeypatch.setattr(floquet, "discriminant_batch", counting)
+        monkeypatch.setattr(spectrum, "discriminant_batch", counting)
+        for spec, report in zip(specs, reports):
+            gap_eigenvalue_report(spec, report=report)
+        assert sum(len(c) for c in calls.values()) == 8
+        assert sum(sum(c) for c in calls.values()) == 36
+        # (2,1,1,1): every Hill solution is an inner edge, so only the edge call
+        assert calls[(2, 1, 1, 1)] == [7]
+
+    @pytest.mark.parametrize("kind, size, shift", [("crossing", 1, 1e-3), ("double", 2, 0.1)])
+    def test_certificate_still_bites(self, spec_2210, gap_report_2210, monkeypatch,
+                                     kind, size, shift):
+        # (2,2,1,0) at i: the crossing at E_3 moved 1e-3 into the band above
+        # it is no longer on an edge (2 delta = 2.3e-4), and the double moved
+        # 0.1 off its touch point leaves |Delta + 2| near 3e-5; each takes the
+        # certificate and fails it
+        from hillband import floquet
+
+        original = floquet._hill_clusters
+        e3 = gap_report_2210.edges[3]
+
+        def moved(spec, K, lo, hi):
+            clusters = original(spec, K, lo, hi)
+            i = min((i for i, c in enumerate(clusters) if c[2] == size),
+                    key=lambda i: abs(clusters[i][0] - e3))
+            clusters[i] = (clusters[i][0] + shift,) + clusters[i][1:]
+            return clusters
+
+        monkeypatch.setattr(floquet, "_hill_clusters", moved)
+        with pytest.raises(TolFailure, match=f"\\({kind}\\)"):
+            gap_eigenvalue_report(spec_2210)
+
+    def test_json_matches_golden(self):
+        # recorded while every inner band edge still took a certificate
+        golden = json.loads((_GOLDEN / "gap_reports_tau1.json").read_text())
+        assert len(golden) == len(_VERIFY_VECTORS)
+        for n in _VERIFY_VECTORS:
+            rep = gap_eigenvalue_report(PotentialSpec.elliptic(mv(*n), 1j))
+            assert rep.to_json_dict() == golden["%d,%d,%d,%d" % n], n
 
 
 class TestResultSlots:
