@@ -230,6 +230,8 @@ def _cmd_arcs(args) -> int:
     if len(parts) != 4:
         raise UsageError("--window expects re0,re1,im0,im1")
     window = tuple(_finite_floats(parts, "--window"))
+    if window[0] == window[1] or window[2] == window[3]:
+        raise UsageError("--window must have nonzero width and height")
     if not 2 <= args.res <= 2048:
         raise UsageError("--res must be between 2 and 2048")
     arcs = stability_region(spec, window, args.res, _settings_from_args(args))

@@ -8,8 +8,10 @@ interior (anti)periodic eigenvalues of each bounded band interval
 (E_{2j-1}, E_{2j-2}) and the discriminant certifies them, and a
 marching-squares pass over Im Delta = 0, on a guarded Chebyshev proxy of
 Delta, recovers the conditional stability set as polylines in the complex E
-plane; their points are polished and kept on the same proxy, so Delta is
-read once per window.
+plane; their points are polished and kept on the same proxy.  Delta is read
+only to fit and check the proxy, one call per refinement round carrying each
+open panel's nodes and off-node guard points; the grid and the polish evaluate
+the proxy by matrix products.  A window of zero width or height is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebder, chebgrid2d, chebpts1, chebval2d, chebvander
+from numpy.polynomial.chebyshev import chebder, chebpts1, chebvander
 
 from .errors import BandStructureMissing, ResolutionError
 from .floquet import (
@@ -360,30 +362,18 @@ def _marching_segments(xs, ys, im_grid, re_grid):
     saddle) is resolved by the sign of its corner mean.
     """
     pos = im_grid > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        th = im_grid[:, :-1] / (im_grid[:, :-1] - im_grid[:, 1:])
-        tv = im_grid[:-1] / (im_grid[:-1] - im_grid[1:])
-    # (x, y, re_delta) of the crossing on every horizontal and vertical edge,
-    # with the per-cell interpolation's arithmetic (t * 0.0 included), so the
-    # points do not depend on which cell an edge is reached from
-    xh, yh = xs[None, :-1] + th * (xs[1:] - xs[:-1]), ys[:, None] + th * 0.0
-    xv, yv = xs[None, :] + tv * 0.0, ys[:-1, None] + tv * (ys[1:] - ys[:-1])[:, None]
-    edge_pts = {
-        "h": np.stack([xh, yh, re_grid[:, :-1] + th * (re_grid[:, 1:] - re_grid[:, :-1])], -1),
-        "v": np.stack([xv, yv, re_grid[:-1] + tv * (re_grid[1:] - re_grid[:-1])], -1),
-    }
-
     # per cell: crossings on its bottom, right, top and left edges
-    cross = np.stack([pos[:-1, :-1] != pos[:-1, 1:], pos[:-1, 1:] != pos[1:, 1:],
-                      pos[1:, :-1] != pos[1:, 1:], pos[:-1, :-1] != pos[1:, :-1]],
-                     -1).reshape(-1, 4)
-    count = cross.sum(axis=1)
-    pair = np.nonzero(count == 2)[0]
-    first = np.argmax(cross[pair], axis=1)
-    last = 3 - np.argmax(cross[pair, ::-1], axis=1)
-    saddle = np.nonzero(count == 4)[0]
-    v0, v1 = im_grid[:-1, :-1].ravel()[saddle], im_grid[:-1, 1:].ravel()[saddle]
-    v2, v3 = im_grid[1:, 1:].ravel()[saddle], im_grid[1:, :-1].ravel()[saddle]
+    sides = (pos[:-1, :-1] != pos[:-1, 1:], pos[:-1, 1:] != pos[1:, 1:],
+             pos[1:, :-1] != pos[1:, 1:], pos[:-1, :-1] != pos[1:, :-1])
+    count = sum(side.view(np.uint8) for side in sides).ravel()
+    pair = np.flatnonzero(count == 2)
+    cross = np.stack([side.ravel()[pair] for side in sides], -1)
+    first = np.argmax(cross, axis=1)
+    last = 3 - np.argmax(cross[:, ::-1], axis=1)
+    saddle = np.flatnonzero(count == 4)
+    sy, sx = np.divmod(saddle, xs.size - 1)
+    v0, v1 = im_grid[sy, sx], im_grid[sy, sx + 1]
+    v2, v3 = im_grid[sy + 1, sx + 1], im_grid[sy + 1, sx]
     joins_left = (0.25 * (((v0 + v1) + v2) + v3) > 0.0) == (v0 > 0.0)
     # saddle segments: (bottom, left) and (right, top), else (bottom, right)
     # and (top, left)
@@ -398,13 +388,17 @@ def _marching_segments(xs, ys, im_grid, re_grid):
     iy, ix = np.divmod(cell[order], xs.size - 1)
 
     def ends(edge):
-        kinds = np.where(edge % 2 == 0, "h", "v")
+        # one arithmetic for both edge kinds (t * 0.0 included), so a point
+        # does not depend on its cell; a crossed edge has a - b != 0
+        horizontal = edge % 2 == 0
         rows, cols = iy + (edge == 2), ix + (edge == 1)
-        keys = list(zip(kinds.tolist(), rows.tolist(), cols.tolist()))
-        pts = np.empty((edge.size, 3))
-        for kind in ("h", "v"):
-            sel = kinds == kind
-            pts[sel] = edge_pts[kind][rows[sel], cols[sel]]
+        rows1, cols1 = rows + ~horizontal, cols + horizontal
+        a, b = im_grid[rows, cols], im_grid[rows1, cols1]
+        t, r = a / (a - b), re_grid[rows, cols]
+        pts = np.column_stack([xs[cols] + t * (xs[cols1] - xs[cols]),
+                               ys[rows] + t * (ys[rows1] - ys[rows]),
+                               r + t * (re_grid[rows1, cols1] - r)])
+        keys = zip(np.where(horizontal, "h", "v").tolist(), rows.tolist(), cols.tolist())
         return list(zip(keys, map(tuple, pts.tolist())))
 
     return list(zip(ends(edge_a[order]), ends(edge_b[order])))
@@ -423,8 +417,8 @@ _GUARD_T = np.array([-1.0, -0.83, -0.41, 0.07, 0.56, 0.92, 1.0])
 
 
 def _affine(lo: float, hi: float) -> tuple[float, float]:
-    """Centre and half-width of [lo, hi]; a zero width maps [lo - 1, lo + 1]."""
-    return 0.5 * (lo + hi), 0.5 * (hi - lo) or 1.0
+    """Centre and half-width of [lo, hi]."""
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
 
 
 def _cheb_weights(n: int) -> np.ndarray:
@@ -432,6 +426,11 @@ def _cheb_weights(n: int) -> np.ndarray:
     w = (2.0 / n) * chebvander(chebpts1(n), n - 1).T
     w[0] *= 0.5
     return w
+
+
+def _chebgrid(ty: np.ndarray, tx: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Tensor Chebyshev series c[k, l] T_k(ty) T_l(tx) on the grid ty x tx."""
+    return chebvander(ty, c.shape[0] - 1) @ c @ chebvander(tx, c.shape[1] - 1).T
 
 
 def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
@@ -442,13 +441,15 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
     converges geometrically.  A panel [lo, hi] x [Im window] starts at
     16 x 16 first-kind nodes; an axis doubles its node count while its three
     trailing coefficient columns exceed 1e-13 of the largest coefficient.
-    Each round samples the nodes of every open panel in one adaptive Delta
-    call.  A converged panel is checked against direct Delta at 7 x 7 fixed
-    off-node points: each must satisfy
+    Each round samples, in one adaptive Delta call, the nodes of every open
+    panel and its 7 x 7 fixed off-node guard points.  A converged panel is
+    checked against direct Delta at its guard points: each must satisfy
     |proxy - Delta| <= 1e-8 max(1, |Delta|), or the panel is split in two
     along Re and both halves are refitted, since |Delta| grows like
     exp(sqrt(E)) along Re and one panel's relative accuracy is spent on its
-    largest values.  A window that needs more nodes than the grid has
+    largest values; a panel that still needs more nodes drops its guard
+    values.  The proxy is evaluated by matrix products with Chebyshev
+    Vandermonde matrices.  A window that needs more nodes than the grid has
     points (or than one first round, 16^2, on grids coarser than that), or
     more than 2^16, raises ResolutionError: no unchecked proxy reaches the
     grid.
@@ -475,35 +476,27 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
             raise ResolutionError(
                 f"Delta proxy needs more than {cap} Chebyshev nodes on "
                 f"[{lo}, {hi}] x [{ylo}, {yhi}]")
-        vals = discriminant_batch(spec, np.concatenate(
-            [tensor(a, b, chebpts1(nx), chebpts1(ny))
-             for a, b, nx, ny in pending]), settings)
-        refine, fitted = [], []
-        start = 0
-        for a, b, nx, ny in pending:
-            f = vals[start:start + nx * ny].reshape(ny, nx)
-            start += nx * ny
-            c = _cheb_weights(ny) @ f @ _cheb_weights(nx).T
+        # each panel's nodes, then its guard points, in one Delta call
+        points = [tensor(a, b, tx, ty) for a, b, nx, ny in pending
+                  for tx, ty in ((chebpts1(nx), chebpts1(ny)), (_GUARD_T, _GUARD_T))]
+        vals = np.split(discriminant_batch(spec, np.concatenate(points), settings),
+                        np.cumsum([E.size for E in points[:-1]]))
+        refine = []
+        for (a, b, nx, ny), f, d in zip(pending, vals[::2], vals[1::2]):
+            c = _cheb_weights(ny) @ f.reshape(ny, nx) @ _cheb_weights(nx).T
             floor = _PROXY_TAIL * np.abs(c).max()
             grow_x = np.abs(c[:, -3:]).max() > floor
             grow_y = np.abs(c[-3:]).max() > floor
             if grow_x or grow_y:
                 refine.append((a, b, 2 * nx if grow_x else nx,
                                2 * ny if grow_y else ny))
+            elif np.all(np.abs(_chebgrid(_GUARD_T, _GUARD_T, c).ravel() - d)
+                        <= _PROXY_GUARD * np.maximum(1.0, np.abs(d))):
+                fits.append((a, b, c))
             else:
-                fitted.append((a, b, c))
-        if fitted:
-            direct = discriminant_batch(spec, np.concatenate(
-                [tensor(a, b, _GUARD_T, _GUARD_T) for a, b, _ in fitted]),
-                settings).reshape(len(fitted), _GUARD_T.size, _GUARD_T.size)
-            for (a, b, c), d in zip(fitted, direct):
-                proxy = chebgrid2d(_GUARD_T, _GUARD_T, c)
-                if np.all(np.abs(proxy - d) <= _PROXY_GUARD * np.maximum(1.0, np.abs(d))):
-                    fits.append((a, b, c))
-                else:
-                    mid = 0.5 * (a + b)
-                    refine += [(a, mid, _PROXY_START, _PROXY_START),
-                               (mid, b, _PROXY_START, _PROXY_START)]
+                mid = 0.5 * (a + b)
+                refine += [(a, mid, _PROXY_START, _PROXY_START),
+                           (mid, b, _PROXY_START, _PROXY_START)]
         pending = refine
 
     fits.sort(key=lambda fit: fit[0])
@@ -511,9 +504,10 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
     grid = np.empty((ys.size, xs.size), dtype=complex)
     owner = np.searchsorted(starts, xs, side="right")
     for p, (a, b, c) in enumerate(fits):
-        cols = owner == p
+        cols = np.flatnonzero(owner == p)  # one run of columns: xs is monotone
+        cols = slice(cols[0], cols[-1] + 1) if cols.size else slice(0)
         mid, half = _affine(a, b)
-        grid[:, cols] = chebgrid2d((ys - ymid) / yhalf, (xs[cols] - mid) / half, c)
+        grid[:, cols] = _chebgrid((ys - ymid) / yhalf, (xs[cols] - mid) / half, c)
 
     def evaluate(E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         val, der = np.empty_like(E), np.empty_like(E)
@@ -521,9 +515,10 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
         for p, (a, b, c) in enumerate(fits):
             sel = owner == p
             mid, half = _affine(a, b)
-            tx, ty = (E.real[sel] - mid) / half, (E.imag[sel] - ymid) / yhalf
-            val[sel] = chebval2d(ty, tx, c)
-            der[sel] = chebval2d(ty, tx, chebder(c, axis=0)) / (1j * yhalf)
+            vy = chebvander((E.imag[sel] - ymid) / yhalf, c.shape[0] - 1)
+            vx = chebvander((E.real[sel] - mid) / half, c.shape[1] - 1)
+            val[sel] = ((vy @ c) * vx).sum(axis=1)
+            der[sel] = ((vy[:, :-1] @ chebder(c, axis=0)) * vx).sum(axis=1) / (1j * yhalf)
         return val, der
 
     return grid, evaluate
@@ -591,7 +586,8 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
     arc_tol * max(1, |Delta|) of the real interval [-2, 2].  Near tangential
     touch points (Delta' = 0 on the real axis) the set legitimately grows
     short vertical whiskers where Delta is real and barely outside [-2, 2];
-    they satisfy the same tolerance and are reported as arc points.
+    they satisfy the same tolerance and are reported as arc points.  A window
+    of zero width or height raises ValueError.
     """
     if not _is_integer(resolution) or not 2 <= resolution <= 2048:
         raise ValueError("resolution must be an integer in [2, 2048] per side")
@@ -599,8 +595,10 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
         raise ValueError("window must be (re0, re1, im0, im1)")
     if not np.all(np.isfinite(window)):
         raise ValueError("window bounds must be finite")
-    settings = settings or DEFAULT_SETTINGS
     re0, re1, im0, im1 = window
+    if re0 == re1 or im0 == im1:
+        raise ValueError("window must have nonzero width and height")
+    settings = settings or DEFAULT_SETTINGS
     xs = np.linspace(re0, re1, resolution)
     ys = np.linspace(im0, im1, resolution)
     polish_settings = IntegratorSettings(rel_tol=min(settings.rel_tol, 1e-10))

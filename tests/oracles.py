@@ -6,7 +6,8 @@ the tau direction, the modular dual of the production row/nome expansion),
 eta comes from the Legendre relation, the constant-potential discriminant
 from its cosine closed form, monodromy cross-checks ride on scipy's
 DOP853 rather than the in-tree integrator, and the half-period values e_k
-come from Jacobi theta nulls summed by mpmath.
+come from Jacobi theta nulls summed by mpmath, and marching squares is a
+plain loop over grid cells.
 """
 
 from __future__ import annotations
@@ -102,3 +103,51 @@ def monodromy_scipy(spec, e_value: complex, rtol: float = 1e-12):
     assert sol.success
     yf = sol.y[:, -1]
     return yf[0] + yf[3]
+
+
+def marching_segments_loop(xs, ys, im_grid, re_grid):
+    """Im = 0 segments of a grid by a loop over its cells: marching squares.
+
+    A cell's crossed edges are taken in the order bottom, right, top, left,
+    each point interpolated from the edge's left or lower corner; a saddle
+    joins the lower-left corner's side when the corner mean has its sign.
+    """
+
+    def interp(v0, v1, p0, p1, r0, r1):
+        t = v0 / (v0 - v1)
+        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]),
+                r0 + t * (r1 - r0))
+
+    nrows, ncols = im_grid.shape
+    segments = []
+    for iy in range(nrows - 1):
+        for ix in range(ncols - 1):
+            v = (im_grid[iy, ix], im_grid[iy, ix + 1],
+                 im_grid[iy + 1, ix + 1], im_grid[iy + 1, ix])
+            sgn = tuple(x > 0.0 for x in v)
+            if all(sgn) or not any(sgn):
+                continue
+            corners = ((xs[ix], ys[iy]), (xs[ix + 1], ys[iy]),
+                       (xs[ix + 1], ys[iy + 1]), (xs[ix], ys[iy + 1]))
+            rvals = (re_grid[iy, ix], re_grid[iy, ix + 1],
+                     re_grid[iy + 1, ix + 1], re_grid[iy + 1, ix])
+            edges = (
+                (("h", iy, ix), 0, 1),
+                (("v", iy, ix + 1), 1, 2),
+                (("h", iy + 1, ix), 3, 2),
+                (("v", iy, ix), 0, 3),
+            )
+            crossings = [(key, interp(v[a], v[b], corners[a], corners[b],
+                                      rvals[a], rvals[b]))
+                         for key, a, b in edges if sgn[a] != sgn[b]]
+            if len(crossings) == 2:
+                segments.append((crossings[0], crossings[1]))
+            elif len(crossings) == 4:
+                center = 0.25 * sum(v)
+                if (center > 0.0) == sgn[0]:
+                    segments.append((crossings[0], crossings[3]))
+                    segments.append((crossings[1], crossings[2]))
+                else:
+                    segments.append((crossings[0], crossings[1]))
+                    segments.append((crossings[2], crossings[3]))
+    return segments

@@ -381,6 +381,8 @@ class TestBoundaryValidation:
         ["arcs", "--n", "1,0,0,0", "--window=-1,1,nan,1"],
         ["arcs", "--n", "1,0,0,0", "--window=-1,1,-1,1", "--res", "0"],
         ["arcs", "--n", "1,0,0,0", "--window=-1,1,-1,1", "--res", "1"],
+        ["arcs", "--n", "1,0,0,0", "--tau", "1", "--window=5,5,-1,1", "--res", "16"],
+        ["arcs", "--n", "1,0,0,0", "--tau", "1", "--window=-5,5,0,0", "--res", "16"],
         ["spectrum", "--n", "1,0,0,0", "--format", "csv"],
         ["verify", "--n", "1,0,0,0", "--format", "csv"],
     ])
@@ -401,6 +403,21 @@ def _pair(re, im):
     return st.tuples(re, im).map(lambda p: f"{p[0]!r},{p[1]!r}")
 
 
+def _window(re0, width, im0, height, shape):
+    """re0,re1,im0,im1 of a finite window, its reverse, or one of zero width."""
+    re1 = re0 if shape == "flat re" else re0 + width
+    im1 = im0 if shape == "flat im" else im0 + height
+    if shape == "reversed":
+        re0, re1, im0, im1 = re1, re0, im1, im0
+    return ",".join(map(repr, (re0, re1, im0, im1)))
+
+
+_WINDOWS = st.tuples(st.floats(-60.0, 60.0), st.floats(0.5, 40.0),
+                     st.floats(-20.0, 20.0), st.floats(0.5, 20.0),
+                     st.sampled_from(["finite", "reversed", "flat re", "flat im"])
+                     ).map(lambda w: _window(*w))
+
+
 _FLAG_POOLS = {
     "--n": _pool(st.tuples(*[st.integers(0, 4)] * 4).map(lambda t: ",".join(map(str, t))),
                  "1,0,0", "1,0,0,0,0", "9,0,0,0", "4,9,1,1"),
@@ -410,14 +427,24 @@ _FLAG_POOLS = {
     "--z0": _pool(_pair(st.floats(-1.0, 1.0), st.floats(0.05, 1.5)),
                   "0.1", "0.1,0.2,0.3", "0.1,nan"),
     "--rtol": _pool(st.sampled_from(["1e-12", "1e-10", "1e-8", "1e-6"]), "0", "2"),
+    "--window": _pool(_WINDOWS, "a,1,2,3", "1,2,3", "-1,1,nan,1", "1e400,2,0,1"),
+    "--res": _pool(st.integers(2, 48).map(str)),
 }
 _FLAGS_OF = {
     "info": ["--n"],
     "disc": ["--n", "--tau", "--E", "--z0", "--rtol"],
     "qpoly": ["--n", "--tau", "--z0"],
+    "arcs": ["--n", "--tau", "--z0", "--rtol", "--window", "--res"],
     "spectrum": ["--n", "--tau", "--z0", "--rtol"],
     "verify": ["--n", "--tau", "--z0", "--rtol"],
 }
+
+
+def _assert_contract(code, out, err):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    for text in (out, err):
+        assert "NaN" not in text and "Infinity" not in text
 
 
 class TestRobustness:
@@ -456,17 +483,24 @@ class TestRobustness:
     @given(data=st.data())
     def test_drawn_argv(self, capsys, data):
         # the same contract on argv drawn from pools that mix valid flag
-        # values with malformed tokens; --n (and --E for disc) always given
+        # values with malformed tokens; --n (and --E for disc, --window for
+        # arcs) always given
         cmd = data.draw(st.sampled_from(sorted(_FLAGS_OF)))
         argv = [cmd]
         for flag in _FLAGS_OF[cmd]:
-            if flag in ("--n", "--E") or data.draw(st.booleans()):
+            if flag in ("--n", "--E", "--window") or data.draw(st.booleans()):
                 argv.append(f"{flag}={data.draw(_FLAG_POOLS[flag])}")
-        code, out, err = run(capsys, *argv)
-        assert code in (0, 1, 2, 3)
-        assert "Traceback" not in err
-        for text in (out, err):
-            assert "NaN" not in text and "Infinity" not in text
+        _assert_contract(*run(capsys, *argv))
+
+    @settings(max_examples=24, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.sampled_from(["1,0,0,0", "1,2,2,1", "2,1,1,0"]), window=_WINDOWS,
+           res=st.integers(2, 48))
+    def test_drawn_arcs(self, capsys, n, window, res):
+        # arcs on valid --n and --res, so that drawn windows reach the Delta
+        # proxy and marching squares
+        _assert_contract(*run(capsys, "arcs", f"--n={n}", f"--window={window}",
+                              f"--res={res}"))
 
     def test_scan_names_an_overflowing_discriminant(self, capsys):
         # |disc Q| passes e^700 at 0.6i and i: those cells read n/a, the

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hillband.elliptic import invariants
 from hillband import spectrum
@@ -22,6 +24,8 @@ from hillband.spectrum import (
     verify_theorems,
 )
 
+from oracles import marching_segments_loop
+
 
 # the verify bench's vectors: cases A, B and C, gap counts 0 and 1, both parities
 _VERIFY_VECTORS = ((1, 0, 0, 0), (2, 1, 1, 0), (1, 1, 1, 0),
@@ -31,49 +35,6 @@ _GOLDEN = Path(__file__).parent / "golden"
 
 def mv(*ns):
     return MultiplicityVector(*ns)
-
-
-def marching_segments_loop(xs, ys, im_grid, re_grid):
-    """Per-cell reference for _marching_segments (its former implementation)."""
-
-    def interp(v0, v1, p0, p1, r0, r1):
-        t = v0 / (v0 - v1)
-        return (p0[0] + t * (p1[0] - p0[0]), p0[1] + t * (p1[1] - p0[1]),
-                r0 + t * (r1 - r0))
-
-    nrows, ncols = im_grid.shape
-    segments = []
-    for iy in range(nrows - 1):
-        for ix in range(ncols - 1):
-            v = (im_grid[iy, ix], im_grid[iy, ix + 1],
-                 im_grid[iy + 1, ix + 1], im_grid[iy + 1, ix])
-            sgn = tuple(x > 0.0 for x in v)
-            if all(sgn) or not any(sgn):
-                continue
-            corners = ((xs[ix], ys[iy]), (xs[ix + 1], ys[iy]),
-                       (xs[ix + 1], ys[iy + 1]), (xs[ix], ys[iy + 1]))
-            rvals = (re_grid[iy, ix], re_grid[iy, ix + 1],
-                     re_grid[iy + 1, ix + 1], re_grid[iy + 1, ix])
-            edges = (
-                (("h", iy, ix), 0, 1),
-                (("v", iy, ix + 1), 1, 2),
-                (("h", iy + 1, ix), 3, 2),
-                (("v", iy, ix), 0, 3),
-            )
-            crossings = [(key, interp(v[a], v[b], corners[a], corners[b],
-                                      rvals[a], rvals[b]))
-                         for key, a, b in edges if sgn[a] != sgn[b]]
-            if len(crossings) == 2:
-                segments.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                center = 0.25 * sum(v)
-                if (center > 0.0) == sgn[0]:
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
-                else:
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
-    return segments
 
 
 def as_floats(segments):
@@ -417,13 +378,13 @@ class TestStabilityRegion:
         # The arcs must cover the closed-form Lame bands (-inf, -e1], [0, e1]
         # at the grid spacing, and stay on the real axis.
         guards = []
-        original = spectrum.chebgrid2d
+        original = spectrum._chebgrid
 
         def spy(ty, tx, c):
             guards.append(ty is spectrum._GUARD_T)
             return original(ty, tx, c)
 
-        monkeypatch.setattr(spectrum, "chebgrid2d", spy)
+        monkeypatch.setattr(spectrum, "_chebgrid", spy)
         re0, re1, res = -30.0, 1000.0, 256
         arcs = stability_region(lame_spec, (re0, re1, -2.0, 2.0), res)
         assert sum(guards) >= 3 and guards.count(False) >= 2
@@ -470,6 +431,40 @@ class TestStabilityRegion:
                         np.abs(d - np.sign(d.real) * 2.0))
         assert np.all(dist <= (arcs.arc_tol + 1e-8) * scale)
 
+    def test_one_delta_call_on_the_bench_window(self, lame_spec, monkeypatch):
+        # the bench's Lame window converges in the first round, and its
+        # guard points ride in the node call: Delta is read once
+        sizes = []
+        original = spectrum.discriminant_batch
+
+        def counting(spec, E, settings):
+            sizes.append(E.size)
+            return original(spec, E, settings)
+
+        monkeypatch.setattr(spectrum, "discriminant_batch", counting)
+        stability_region(lame_spec, (-15.0, 15.0, -3.0, 3.0), 256)
+        assert sizes == [16 * 16 + 7 * 7]
+
+    def test_traced_peak_at_res_512(self, lame_spec):
+        # the grid (4 MB) is the largest array; marching squares reads the
+        # crossed edges only
+        import tracemalloc
+
+        window = (-15.0, 15.0, -3.0, 3.0)
+        stability_region(lame_spec, window, 16)
+        tracemalloc.start()
+        try:
+            stability_region(lame_spec, window, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12e6, peak
+
+    def test_zero_width_window(self, lame_spec):
+        for window in ((5.0, 5.0, -1.0, 1.0), (-5.0, 5.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match="window"):
+                stability_region(lame_spec, window, 16)
+
     def test_node_cap_raises(self, lame_spec, monkeypatch):
         # the window works with the default cap; below one 16 x 16 round the
         # proxy must refuse rather than return an unchecked grid
@@ -513,6 +508,9 @@ class TestStabilityRegion:
             stability_region(lame_spec, (-1.0, math.nan, -1.0, 1.0), 8)
 
 
+_GRID_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]), st.floats(-4.0, 4.0))
+
+
 class TestMarchingSegments:
     XS = np.array([0.0, 1.0, 2.0])
     YS = np.array([0.0, 1.0, 2.0])
@@ -541,19 +539,25 @@ class TestMarchingSegments:
         assert as_floats(segs) == as_floats(
             marching_segments_loop(self.XS, self.YS, im, re))
 
-    def test_matches_cell_loop(self):
-        # same segments, order and interpolated points as the per-cell loop,
-        # on grids with saddles, exact zeros and a reversed axis
-        rng = np.random.default_rng(5)
-        for trial in range(60):
-            ny, nx = rng.integers(2, 10, size=2)
-            xs = np.linspace(rng.normal(), rng.normal() + 3.0, nx)
-            ys = np.linspace(1.0, -1.0, ny)
-            im = rng.normal(size=(ny, nx))
-            im[rng.random((ny, nx)) < 0.2] = 0.0
-            re = rng.normal(size=(ny, nx))
-            assert as_floats(_marching_segments(xs, ys, im, re)) == as_floats(
-                marching_segments_loop(xs, ys, im, re))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), ny=st.integers(2, 9), nx=st.integers(2, 9),
+           checkerboard=st.booleans(),
+           x_ends=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           y_ends=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+    def test_matches_cell_loop(self, data, ny, nx, checkerboard, x_ends, y_ends):
+        # same segments, order, keys and interpolated points as the per-cell
+        # loop, on grids with exact zeros and either axis reversed; a
+        # checkerboard of signs makes every cell without a zero corner a saddle
+        def grid():
+            values = data.draw(st.lists(_GRID_VALUES, min_size=ny * nx, max_size=ny * nx))
+            return np.array(values).reshape(ny, nx)
+
+        im, re = grid(), grid()
+        if checkerboard:
+            im = np.abs(im) * (-1.0) ** np.add.outer(np.arange(ny), np.arange(nx))
+        xs, ys = np.linspace(*x_ends, nx), np.linspace(*y_ends, ny)
+        assert as_floats(_marching_segments(xs, ys, im, re)) == as_floats(
+            marching_segments_loop(xs, ys, im, re))
 
 
 class TestVerifyTheorems:
