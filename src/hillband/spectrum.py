@@ -352,13 +352,15 @@ def gap_eigenvalue_report(spec: PotentialSpec,
 # -- stability region (marching squares on Im Delta) -------------------------
 
 def _marching_segments(xs, ys, im_grid, re_grid):
-    """Segments of the Im Delta = 0 level set, keyed by global cell edges.
+    """Segments of the Im Delta = 0 level set, cell by cell in row-major order.
 
-    Returns a list of ((key_a, pt_a), (key_b, pt_b)), cell by cell in
-    row-major order, where keys identify grid edges ('h'/'v', iy, ix) and
-    pts are (x, y, re_delta) from linear interpolation along the edge from
-    its left or lower corner.  Within a cell the crossed edges are taken in
-    the order bottom, right, top, left; a cell crossed on all four (a
+    Returns (ids, pts) of shapes (segments, 2) and (segments, 2, 3): the ids
+    of the two grid edges a segment joins and their crossing points
+    (x, y, re_delta), interpolated along each edge from its left or lower
+    corner.  On ny x nx grid points horizontal edge (iy, ix) has id
+    iy*nx + ix and vertical edge (iy, ix) has id ny*nx + iy*nx + ix, so ids
+    sort like ('h'|'v', iy, ix).  Within a cell the crossed edges are taken
+    in the order bottom, right, top, left; a cell crossed on all four (a
     saddle) is resolved by the sign of its corner mean.
     """
     pos = im_grid > 0.0
@@ -378,30 +380,24 @@ def _marching_segments(xs, ys, im_grid, re_grid):
     # saddle segments: (bottom, left) and (right, top), else (bottom, right)
     # and (top, left)
     cell = np.concatenate([pair, saddle, saddle])
-    rank = np.concatenate([np.zeros(pair.size + saddle.size, dtype=int),
-                           np.ones(saddle.size, dtype=int)])
     edge_a = np.concatenate([first, np.zeros(saddle.size, dtype=int),
                              np.where(joins_left, 1, 2)])
     edge_b = np.concatenate([last, np.where(joins_left, 3, 1),
                              np.where(joins_left, 2, 3)])
-    order = np.lexsort((rank, cell))
-    iy, ix = np.divmod(cell[order], xs.size - 1)
-
-    def ends(edge):
-        # one arithmetic for both edge kinds (t * 0.0 included), so a point
-        # does not depend on its cell; a crossed edge has a - b != 0
-        horizontal = edge % 2 == 0
-        rows, cols = iy + (edge == 2), ix + (edge == 1)
-        rows1, cols1 = rows + ~horizontal, cols + horizontal
-        a, b = im_grid[rows, cols], im_grid[rows1, cols1]
-        t, r = a / (a - b), re_grid[rows, cols]
-        pts = np.column_stack([xs[cols] + t * (xs[cols1] - xs[cols]),
-                               ys[rows] + t * (ys[rows1] - ys[rows]),
-                               r + t * (re_grid[rows1, cols1] - r)])
-        keys = zip(np.where(horizontal, "h", "v").tolist(), rows.tolist(), cols.tolist())
-        return list(zip(keys, map(tuple, pts.tolist())))
-
-    return list(zip(ends(edge_a[order]), ends(edge_b[order])))
+    order = np.argsort(cell, kind="stable")  # a saddle's first segment first
+    iy, ix = np.divmod(cell[order, None], xs.size - 1)
+    edge = np.stack([edge_a, edge_b], axis=1)[order]
+    # one arithmetic for both edge kinds (t * 0.0 included), so a point does
+    # not depend on its cell; a crossed edge has a - b != 0
+    horizontal = edge % 2 == 0
+    rows, cols = iy + (edge == 2), ix + (edge == 1)
+    rows1, cols1 = rows + ~horizontal, cols + horizontal
+    a, b = im_grid[rows, cols], im_grid[rows1, cols1]
+    t, r = a / (a - b), re_grid[rows, cols]
+    pts = np.stack([xs[cols] + t * (xs[cols1] - xs[cols]),
+                    ys[rows] + t * (ys[rows1] - ys[rows]),
+                    r + t * (re_grid[rows1, cols1] - r)], axis=-1)
+    return np.where(horizontal, 0, im_grid.size) + rows * xs.size + cols, pts
 
 
 # -- Delta proxy: guarded tensor Chebyshev series on panels of the window ----
@@ -524,46 +520,35 @@ def _delta_proxy(spec: PotentialSpec, xs: np.ndarray, ys: np.ndarray,
     return grid, evaluate
 
 
-def _chain_polylines(segments, keep):
-    """Join kept segments into polylines over shared edge keys."""
-    adjacency: dict = {}
-    seg_kept = []
-    for (ka, pa), (kb, pb) in segments:
-        if not (keep.get(ka, False) and keep.get(kb, False)):
+def _chain_polylines(ends, keep):
+    """Join the kept segments into chains of point indices.
+
+    ends[s] holds segment s's two point indices; a segment is kept when keep
+    holds at both.  A point's grid edge borders at most two cells, so the
+    point ends at most two segments.  Open chains come first, each from its
+    lower end, in the order of those ends; closed loops follow, each from
+    its lowest point along its earlier segment, repeating that point last.
+    """
+    flat = ends[keep[ends].all(axis=1)].ravel()
+    # per point, the other ends (half ^ 1) of its first and second segments, or -1
+    half = np.argsort(flat, kind="stable")
+    point = flat[half]
+    slot = np.arange(flat.size) - np.searchsorted(point, point)
+    neighbours = np.full((2, keep.size), -1)
+    neighbours[slot, point] = flat[half ^ 1]
+    degree = (neighbours >= 0).sum(axis=0)
+    (first, second), chains, walked = neighbours.tolist(), [], degree == 0
+    # chain ends (degree 1) before loop points (degree 2), each in index order
+    for start in np.argsort(degree, kind="stable").tolist():
+        if walked[start]:
             continue
-        idx = len(seg_kept)
-        seg_kept.append((ka, kb))
-        adjacency.setdefault(ka, []).append((idx, kb))
-        adjacency.setdefault(kb, []).append((idx, ka))
-
-    used = [False] * len(seg_kept)
-    polylines = []
-
-    def walk(start_key):
-        line = [start_key]
-        current = start_key
-        while True:
-            nxt = None
-            for idx, other in adjacency.get(current, ()):
-                if not used[idx]:
-                    used[idx] = True
-                    nxt = other
-                    break
-            if nxt is None:
-                return line
-            line.append(nxt)
-            current = nxt
-
-    # open chains first (degree-1 endpoints), then remaining loops
-    deg1 = sorted(k for k, v in adjacency.items()
-                  if sum(1 for idx, _ in v if not used[idx]) == 1)
-    for key in deg1:
-        if any(not used[idx] for idx, _ in adjacency[key]):
-            polylines.append(walk(key))
-    for key in sorted(adjacency.keys()):
-        if any(not used[idx] for idx, _ in adjacency[key]):
-            polylines.append(walk(key))
-    return polylines
+        line, prev, p = [start], start, first[start]
+        while p >= 0 and p != start:
+            line.append(p)
+            prev, p = p, second[p] if first[p] == prev else first[p]
+        walked[line] = True
+        chains.append(line + [p] if p == start else line)
+    return chains
 
 
 def _is_integer(value) -> bool:
@@ -580,10 +565,11 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
     adaptive Delta samples at Chebyshev nodes, checked against direct Delta
     off the nodes, on panels split along Re until every check holds.  The
     Im Delta = 0 level set of the resolution^2 grid is extracted by marching
-    squares; every crossing point is Newton-polished in the vertical
-    direction on the proxy, with Im E kept inside the window where the proxy
+    squares, one point per crossed grid edge id; each point is Newton-polished
+    vertically on the proxy, with Im E kept inside the window where the proxy
     is certified, and kept when its polished Delta value lies within
-    arc_tol * max(1, |Delta|) of the real interval [-2, 2].  Near tangential
+    arc_tol * max(1, |Delta|) of the real interval [-2, 2].  Segments with
+    both ends kept are chained in _chain_polylines' order.  Near tangential
     touch points (Delta' = 0 on the real axis) the set legitimately grows
     short vertical whiskers where Delta is real and barely outside [-2, 2];
     they satisfy the same tolerance and are reported as arc points.  A window
@@ -604,13 +590,13 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
     polish_settings = IntegratorSettings(rel_tol=min(settings.rel_tol, 1e-10))
     delta_grid, delta = _delta_proxy(spec, xs, ys, polish_settings)
 
-    segments = _marching_segments(xs, ys, delta_grid.imag, delta_grid.real)
+    ids, pts = _marching_segments(xs, ys, delta_grid.imag, delta_grid.real)
 
     # polish unique crossing points vertically toward Im Delta = 0 (an edge
     # shared by two cells has the same point in both)
-    points = dict(end for segment in segments for end in segment)
-    keys = sorted(points)
-    ee = np.array([points[k][0] + 1j * points[k][1] for k in keys], dtype=complex)
+    _, first, ends = np.unique(ids, return_index=True, return_inverse=True)
+    points = pts.reshape(-1, 3)[first]
+    ee = points[:, 0] + 1j * points[:, 1]
     cell = abs(ys[1] - ys[0])
     for _ in range(3):
         dval, dder = delta(ee)
@@ -624,13 +610,12 @@ def stability_region(spec: PotentialSpec, window: tuple[float, float, float, flo
     scale = np.maximum(1.0, np.abs(dval))
     dist = np.where(np.abs(dval.real) <= 2.0, np.abs(dval.imag),
                     np.abs(dval - np.sign(dval.real) * 2.0))
-    keep = dict(zip(keys, (dist <= arc_tol * scale).tolist()))
-    row = {k: i for i, k in enumerate(keys)}
+    keep = dist <= arc_tol * scale
     polished = np.column_stack([ee.real, ee.imag, dval.real])
 
     # every chain joins at least one segment, so it has two points or more
-    polylines = tuple(polished[[row[k] for k in chain]]
-                      for chain in _chain_polylines(segments, keep))
+    polylines = tuple(polished[chain]
+                      for chain in _chain_polylines(ends.reshape(ids.shape), keep))
     for line in polylines:
         line.flags.writeable = False
     return ArcSet(polylines=polylines, window=window, resolution=resolution,

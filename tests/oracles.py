@@ -6,13 +6,15 @@ the tau direction, the modular dual of the production row/nome expansion),
 eta comes from the Legendre relation, the constant-potential discriminant
 from its cosine closed form, monodromy cross-checks ride on scipy's
 DOP853 rather than the in-tree integrator, and the half-period values e_k
-come from Jacobi theta nulls summed by mpmath, and marching squares is a
-plain loop over grid cells.
+come from Jacobi theta nulls summed by mpmath, Takemura's Heun blocks are
+rebuilt and solved in mpmath at 40 digits, marching squares is a plain loop
+over grid cells, and the arc chaining walks a dict keyed by edge tuples.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -71,6 +73,50 @@ def e_theta_nulls(tau: complex) -> tuple[complex, complex, complex]:
         c = mpmath.pi**2 / 3
         return tuple(complex(v) for v in (c * (th3 + th4), -c * (th2 + th3),
                                           c * (th2 - th4)))
+
+
+def heun_blocks_mp(n, tau: complex) -> list[list[complex]]:
+    """Eigenvalues of Takemura's Heun blocks, built and solved at 40 digits.
+
+    The same four-diagonal matrices on the basis t^j as
+    kdv_spectral._heun_blocks, block for block in the same order, with the
+    e_i of e_theta_nulls, assembled in mpmath and solved by mpmath.eig.
+    """
+    import mpmath
+
+    n0, *ns = n
+    with mpmath.workdps(40):
+        e = [mpmath.mpc(v) for v in e_theta_nulls(tau)]
+        ee = [e[1] * e[2], e[0] * e[2], e[0] * e[1]]
+        p1, p0 = 4 * sum(ee), -4 * e[0] * e[1] * e[2]
+        blocks = []
+        for a in itertools.product(*((mpmath.mpf(-k) / 2, mpmath.mpf(k + 1) / 2)
+                                     for k in ns)):
+            aa = [a[1] * a[2], a[0] * a[2], a[0] * a[1]]
+            b = [8 * ai + 2 for ai in a]
+            r1 = (sum(k * (k + 1) + 4 * ai for k, ai in zip(ns, a)) + 8 * sum(aa)
+                  - n0 * (n0 + 1))
+            r0 = (sum((k * (k + 1) + 2 * ai) * ei for k, ai, ei in zip(ns, a, e))
+                  - 8 * sum(x * ei for x, ei in zip(aa, e)))
+            be = sum(bi * ei for bi, ei in zip(b, e))
+            bee = sum(bi * x for bi, x in zip(b, ee))
+            for sigma in (mpmath.mpf(n0) / 2, -mpmath.mpf(n0 + 1) / 2):
+                d = sigma - sum(a)
+                if d < 0 or d % 1:
+                    continue
+                size = int(d) + 1
+                m = mpmath.zeros(size, size)
+                for j in range(size):
+                    m[j, j] = be * j + r0
+                    if j + 1 < size:
+                        m[j + 1, j] = 4 * j * (j - 1) + sum(b) * j + r1
+                        m[j, j + 1] = p1 * (j + 1) * j + bee * (j + 1)
+                    if j + 2 < size:
+                        m[j, j + 2] = p0 * (j + 2) * (j + 1)
+                # eigenvalues and right eigenvectors: the one form that
+                # mpmath 1.3 returns the same way for 1 x 1 blocks
+                blocks.append([complex(v) for v in mpmath.eig(m)[0]])
+        return blocks
 
 
 def wp_trig(z: complex) -> complex:
@@ -151,3 +197,50 @@ def marching_segments_loop(xs, ys, im_grid, re_grid):
                     segments.append((crossings[0], crossings[1]))
                     segments.append((crossings[2], crossings[3]))
     return segments
+
+
+def chain_polylines_dict(segments, keep):
+    """Chains of kept segments over shared edge keys, by dict adjacency.
+
+    segments as from marching_segments_loop, keep a dict from edge key to
+    bool.  Open chains come first, each walked from its lower end key in key
+    order; the remaining loops follow, each walked from its lowest key.
+    """
+    adjacency: dict = {}
+    seg_kept = []
+    for (ka, _), (kb, _) in segments:
+        if not (keep.get(ka, False) and keep.get(kb, False)):
+            continue
+        idx = len(seg_kept)
+        seg_kept.append((ka, kb))
+        adjacency.setdefault(ka, []).append((idx, kb))
+        adjacency.setdefault(kb, []).append((idx, ka))
+
+    used = [False] * len(seg_kept)
+    polylines = []
+
+    def walk(start_key):
+        line = [start_key]
+        current = start_key
+        while True:
+            nxt = None
+            for idx, other in adjacency.get(current, ()):
+                if not used[idx]:
+                    used[idx] = True
+                    nxt = other
+                    break
+            if nxt is None:
+                return line
+            line.append(nxt)
+            current = nxt
+
+    # open chains first (degree-1 endpoints), then remaining loops
+    deg1 = sorted(k for k, v in adjacency.items()
+                  if sum(1 for idx, _ in v if not used[idx]) == 1)
+    for key in deg1:
+        if any(not used[idx] for idx, _ in adjacency[key]):
+            polylines.append(walk(key))
+    for key in sorted(adjacency.keys()):
+        if any(not used[idx] for idx, _ in adjacency[key]):
+            polylines.append(walk(key))
+    return polylines

@@ -1,10 +1,12 @@
 """The bench tracer resolves every function in bench/layers.json by name,
-and one in-process pass of each bench workload matches bench/reference.json."""
+one in-process pass of each bench workload matches bench/reference.json, and
+a traced arcs run reports its counters."""
 
 import importlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -46,3 +48,17 @@ def test_one_pass_matches_reference(bench_run, workload):
     done = bench_run.run_pass(workload, ops, bench_run.inputs.build_specs(ops))
     ref = json.loads((BENCH / "reference.json").read_text())["workloads"][workload]
     assert bench_run.count_failures(workload, ops, done["answers"], ref) == 0
+
+
+def test_traced_arcs_pass():
+    # the tracer reads ArcSet.num_points() and stability_region's resolution
+    # argument; the traced run is the one place that reads them
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "arcs", "--seed", "3",
+         "--seconds", "0", "--trace", "1"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300, check=True)
+    report = json.loads(done.stdout.splitlines()[-1])
+    metrics = {name: m["value"] for name, m in report["metrics"].items()}
+    assert report["correct"] is True and report["failed"] == 0
+    assert metrics["spectrum.arc_grid_points"] == 102400
+    assert metrics["floquet.discriminant_batch.calls"] == 2

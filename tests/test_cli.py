@@ -127,12 +127,17 @@ class TestQpolySpectrum:
 
 
 class TestGolden:
-    """stdout pinned byte for byte, recorded while every inner band edge of
-    the gap search still took a Delta certificate."""
+    """stdout pinned byte for byte: gaps and verify recorded while every inner
+    band edge of the gap search still took a Delta certificate, arcs while
+    the chaining walked a dict keyed by edge tuples."""
 
     @pytest.mark.parametrize("argv, name", [
         (("gaps", "--n", "2,2,1,0"), "gaps_n2210.txt"),
         (("verify", "--n", "3,3,3,3", "--tau", "0.6"), "verify_n3333_tau0.6.txt"),
+        (("arcs", "--n", "1,0,0,0", "--window=-15,15,-3,3", "--res", "512"),
+         "arcs_n1000_res512.txt"),
+        (("arcs", "--n", "1,2,2,1", "--window=25,50,-16,16", "--res", "192"),
+         "arcs_n1221_res192.txt"),
     ])
     def test_stdout_matches_golden(self, capsys, argv, name):
         _, out, _ = run(capsys, *argv)
@@ -412,23 +417,33 @@ def _window(re0, width, im0, height, shape):
     return ",".join(map(repr, (re0, re1, im0, im1)))
 
 
-_WINDOWS = st.tuples(st.floats(-60.0, 60.0), st.floats(0.5, 40.0),
+def _windows(*shapes):
+    return st.tuples(st.floats(-60.0, 60.0), st.floats(0.5, 40.0),
                      st.floats(-20.0, 20.0), st.floats(0.5, 20.0),
-                     st.sampled_from(["finite", "reversed", "flat re", "flat im"])
-                     ).map(lambda w: _window(*w))
+                     st.sampled_from(shapes)).map(lambda w: _window(*w))
 
 
+_N = st.tuples(*[st.integers(0, 4)] * 4).map(lambda t: ",".join(map(str, t)))
+# valid values of each flag, then the same pools mixed with malformed tokens
+_VALID = {
+    "--n": st.tuples(st.integers(1, 4), *[st.integers(0, 4)] * 3).map(
+        lambda t: ",".join(str(min(k, t[0])) for k in t)),
+    "--tau": st.floats(0.3, 3.0).map(repr),
+    "--E": _pair(st.floats(-7e5, 7e5), st.floats(-7e5, 7e5)),
+    "--rtol": st.sampled_from(["1e-12", "1e-10", "1e-8", "1e-6"]),
+    "--window": _windows("finite", "reversed"),
+    "--res": st.integers(2, 48).map(str),
+}
 _FLAG_POOLS = {
-    "--n": _pool(st.tuples(*[st.integers(0, 4)] * 4).map(lambda t: ",".join(map(str, t))),
-                 "1,0,0", "1,0,0,0,0", "9,0,0,0", "4,9,1,1"),
-    "--tau": _pool(st.floats(0.3, 3.0).map(repr)),
-    "--E": _pool(_pair(st.floats(-7e5, 7e5), st.floats(-7e5, 7e5)),
-                 "1", "1,2,3", "nan,0", "0,inf", "1e400,0"),
+    "--n": _pool(_N, "1,0,0", "1,0,0,0,0", "9,0,0,0", "4,9,1,1"),
+    "--tau": _pool(_VALID["--tau"]),
+    "--E": _pool(_VALID["--E"], "1", "1,2,3", "nan,0", "0,inf", "1e400,0"),
     "--z0": _pool(_pair(st.floats(-1.0, 1.0), st.floats(0.05, 1.5)),
                   "0.1", "0.1,0.2,0.3", "0.1,nan"),
-    "--rtol": _pool(st.sampled_from(["1e-12", "1e-10", "1e-8", "1e-6"]), "0", "2"),
-    "--window": _pool(_WINDOWS, "a,1,2,3", "1,2,3", "-1,1,nan,1", "1e400,2,0,1"),
-    "--res": _pool(st.integers(2, 48).map(str)),
+    "--rtol": _pool(_VALID["--rtol"], "0", "2"),
+    "--window": _pool(_windows("finite", "reversed", "flat re", "flat im"),
+                      "a,1,2,3", "1,2,3", "-1,1,nan,1", "1e400,2,0,1"),
+    "--res": _pool(_VALID["--res"]),
 }
 _FLAGS_OF = {
     "info": ["--n"],
@@ -492,15 +507,24 @@ class TestRobustness:
                 argv.append(f"{flag}={data.draw(_FLAG_POOLS[flag])}")
         _assert_contract(*run(capsys, *argv))
 
-    @settings(max_examples=24, deadline=None, derandomize=True,
+    @pytest.mark.parametrize("cmd", ["arcs", "disc", "qpoly", "spectrum", "verify"])
+    @settings(max_examples=16, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(n=st.sampled_from(["1,0,0,0", "1,2,2,1", "2,1,1,0"]), window=_WINDOWS,
-           res=st.integers(2, 48))
-    def test_drawn_arcs(self, capsys, n, window, res):
-        # arcs on valid --n and --res, so that drawn windows reach the Delta
-        # proxy and marching squares
-        _assert_contract(*run(capsys, "arcs", f"--n={n}", f"--window={window}",
-                              f"--res={res}"))
+    @given(data=st.data())
+    def test_drawn_engines(self, capsys, cmd, data):
+        # the same contract on argv whose every value is valid, so that each
+        # draw runs its command's engine: n0 = max(n) as verify asks, and
+        # --z0 sits between the pole rows at Im 0 and Im tau/2
+        tau = data.draw(st.floats(0.3, 3.0))
+        argv = [cmd, f"--n={data.draw(_VALID['--n'])}", f"--tau={tau!r}"]
+        if data.draw(st.booleans()):
+            argv.append(f"--z0={data.draw(st.floats(-1.0, 1.0))!r},"
+                        f"{data.draw(st.floats(0.1, 0.4)) * tau!r}")
+        for flag in _FLAGS_OF[cmd]:
+            if flag in ("--E", "--window", "--res") or (
+                    flag == "--rtol" and data.draw(st.booleans())):
+                argv.append(f"{flag}={data.draw(_VALID[flag])}")
+        _assert_contract(*run(capsys, *argv))
 
     def test_scan_names_an_overflowing_discriminant(self, capsys):
         # |disc Q| passes e^700 at 0.6i and i: those cells read n/a, the

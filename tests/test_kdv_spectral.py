@@ -29,6 +29,8 @@ from hillband.kdv_spectral import (
 )
 from hillband.potential import MultiplicityVector, PotentialSpec, genus, takemura_dual
 
+from oracles import heun_blocks_mp
+
 
 def mv(*ns):
     return MultiplicityVector(*ns)
@@ -463,3 +465,17 @@ class TestHeunBlocks:
         assert edges.size == roots.size
         assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1.1e-11 * (
             1.0 + np.abs(roots).max())
+
+    @pytest.mark.parametrize("b", [0.6, 1.0, 1.7])
+    @pytest.mark.parametrize("tup", [(1, 0, 0, 0), (2, 2, 1, 0), (3, 2, 1, 1),
+                                     (3, 2, 3, 3), (3, 3, 3, 3)])
+    def test_blocks_match_40_digit_oracle(self, tup, b):
+        # the same blocks built and solved in mpmath at 40 digits, block for
+        # block; measured at most 4.24e-14 * scale, at (3,3,3,3) and 1.7i
+        got = kdv_spectral._heun_blocks(spec_of(tup, 1j * b))
+        want = [np.array(blk) for blk in heun_blocks_mp(tup, 1j * b)]
+        assert [blk.size for blk in got] == [blk.size for blk in want]
+        scale = 1.0 + max(np.abs(blk).max() for blk in want)
+        for g, w in zip(got, want):
+            dist = np.abs(g[:, None] - w[None, :])
+            assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 4.3e-13 * scale

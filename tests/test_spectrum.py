@@ -17,6 +17,7 @@ from hillband.floquet import IntegratorSettings, discriminant_batch
 from hillband.kdv_spectral import RootCluster, spectral_polynomial, spectral_roots
 from hillband.potential import MultiplicityVector, PotentialSpec
 from hillband.spectrum import (
+    _chain_polylines,
     _marching_segments,
     classify_spectrum,
     gap_eigenvalue_report,
@@ -24,7 +25,7 @@ from hillband.spectrum import (
     verify_theorems,
 )
 
-from oracles import marching_segments_loop
+from oracles import chain_polylines_dict, marching_segments_loop
 
 
 # the verify bench's vectors: cases A, B and C, gap counts 0 and 1, both parities
@@ -40,6 +41,19 @@ def mv(*ns):
 def as_floats(segments):
     return [tuple((key, tuple(float(c) for c in pt)) for key, pt in seg)
             for seg in segments]
+
+
+def edge_keys(ids, ny, nx):
+    """('h'|'v', iy, ix) of integer edge ids on a grid of ny x nx points."""
+    kind, rest = np.divmod(np.asarray(ids), ny * nx)
+    iy, ix = np.divmod(rest, nx)
+    return [("hv"[k], y, x) for k, y, x in zip(kind.tolist(), iy.tolist(), ix.tolist())]
+
+
+def as_segments(ids, pts, ny, nx):
+    """_marching_segments' arrays in the oracle's ((key, pt), (key, pt)) form."""
+    ends = list(zip(edge_keys(ids.ravel(), ny, nx), map(tuple, pts.reshape(-1, 3).tolist())))
+    return list(zip(ends[::2], ends[1::2]))
 
 
 class TestClassifySpectrum:
@@ -527,7 +541,7 @@ class TestMarchingSegments:
                        [-1.0, middle, -3.0],
                        [-2.0, -3.0, -4.0]])
         re = self.XS[None, :] + 10.0 * self.YS[:, None]
-        segs = _marching_segments(self.XS, self.YS, im, re)
+        segs = as_segments(*_marching_segments(self.XS, self.YS, im, re), 3, 3)
         assert [(a[0], b[0]) for a, b in segs] == saddle + [
             (("h", 1, 1), ("v", 0, 1)),
             (("h", 1, 0), ("v", 1, 1)),
@@ -536,8 +550,7 @@ class TestMarchingSegments:
         points = {key: pt for seg in segs for key, pt in seg}
         assert points[("h", 0, 0)] == (0.5, 0.0, 0.5)
         assert points[("v", 0, 0)] == (0.0, 0.5, 5.0)
-        assert as_floats(segs) == as_floats(
-            marching_segments_loop(self.XS, self.YS, im, re))
+        assert segs == as_floats(marching_segments_loop(self.XS, self.YS, im, re))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data(), ny=st.integers(2, 9), nx=st.integers(2, 9),
@@ -556,8 +569,65 @@ class TestMarchingSegments:
         if checkerboard:
             im = np.abs(im) * (-1.0) ** np.add.outer(np.arange(ny), np.arange(nx))
         xs, ys = np.linspace(*x_ends, nx), np.linspace(*y_ends, ny)
-        assert as_floats(_marching_segments(xs, ys, im, re)) == as_floats(
+        assert as_segments(*_marching_segments(xs, ys, im, re), ny, nx) == as_floats(
             marching_segments_loop(xs, ys, im, re))
+
+
+def chains_against_oracle(im, keep_of):
+    """Integer chaining of im's Im = 0 segments against the dict walk.
+
+    keep_of(k) gives the keep mask over the k unique crossing points.  The
+    chains must match the oracle's, in the same order, and use every kept
+    segment exactly once.
+    """
+    ny, nx = im.shape
+    xs, ys = np.arange(nx, dtype=float), np.arange(ny, dtype=float)
+    ids, _ = _marching_segments(xs, ys, im, im)
+    edges, ends = np.unique(ids, return_inverse=True)
+    ends = ends.reshape(ids.shape)
+    keep = np.array(keep_of(edges.size), dtype=bool)
+    got = _chain_polylines(ends, keep)
+    keys = edge_keys(edges, ny, nx)
+    want = chain_polylines_dict(marching_segments_loop(xs, ys, im, im),
+                                dict(zip(keys, keep.tolist())))
+    assert [[keys[p] for p in chain] for chain in got] == want
+    kept = sorted(sorted(seg) for seg in ends[keep[ends].all(axis=1)].tolist())
+    walked = sorted(sorted(pair) for chain in got for pair in zip(chain, chain[1:]))
+    assert walked == kept
+    return got
+
+
+class TestChainPolylines:
+    # a ring of positive values between a negative centre and a negative
+    # border: two closed contours
+    RING = np.array([[-1.0, -1.0, -1.0, -1.0, -1.0],
+                     [-1.0, 1.0, 1.0, 1.0, -1.0],
+                     [-1.0, 1.0, -2.0, 1.0, -1.0],
+                     [-1.0, 1.0, 1.0, 1.0, -1.0],
+                     [-1.0, -1.0, -1.0, -1.0, -1.0]])
+
+    def test_closed_contour(self):
+        # kept whole it is one loop that repeats its first point; the outer
+        # ring and the inner one are the two loops, walked from the lower id
+        loops = chains_against_oracle(self.RING, lambda k: [True] * k)
+        assert len(loops) == 2 and all(line[0] == line[-1] for line in loops)
+        assert loops[0][0] < loops[1][0]
+        # one dropped point opens its loop into a chain, which comes first
+        chains = chains_against_oracle(self.RING, lambda k: [p != k - 1 for p in range(k)])
+        assert chains[0][0] != chains[0][-1] and chains[1][0] == chains[1][-1]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data(), ny=st.integers(2, 9), nx=st.integers(2, 9),
+           checkerboard=st.booleans())
+    def test_matches_dict_walk(self, data, ny, nx, checkerboard):
+        # drawn grids as in TestMarchingSegments, and drawn keep masks that
+        # keep three points in four
+        im = np.array(data.draw(st.lists(_GRID_VALUES, min_size=ny * nx,
+                                         max_size=ny * nx))).reshape(ny, nx)
+        if checkerboard:
+            im = np.abs(im) * (-1.0) ** np.add.outer(np.arange(ny), np.arange(nx))
+        chains_against_oracle(im, lambda k: data.draw(st.lists(
+            st.integers(0, 3).map(bool), min_size=k, max_size=k)))
 
 
 class TestVerifyTheorems:
